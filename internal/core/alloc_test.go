@@ -62,7 +62,7 @@ func TestAllocBudgetPerInstruction(t *testing.T) {
 }
 
 // TestScratchPoolReuse verifies Release actually recycles: two sequential
-// runs must reuse the pooled event heap, waiting list and uop arena, so
+// runs must reuse the pooled event heap and uop arena, so
 // the second run allocates no new uop chunks.
 func TestScratchPoolReuse(t *testing.T) {
 	if raceEnabled {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -54,14 +55,13 @@ type fetchEntry struct {
 const uopChunk = 128
 
 // scratch is the recyclable allocation-heavy state of a core: the uop
-// arena's free list and the event-heap and waiting-list backing arrays.
-// Cores draw one from a package pool at construction and Release returns
-// it when the run ends, so a grid's many sequential cells reuse the same
-// uop slots and consumers arrays instead of re-warming fresh ones.
+// arena's free list and the event heap's backing array. Cores draw one
+// from a package pool at construction and Release returns it when the run
+// ends, so a grid's many sequential cells reuse the same uop slots and
+// consumers arrays instead of re-warming fresh ones.
 type scratch struct {
-	events  eventQueue
-	waiting []waitRef
-	free    []*uop
+	events eventQueue
+	free   []*uop
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -105,17 +105,20 @@ type Core struct {
 	fus    *fuPool // single pool, or cluster 0 when Clustered
 	fusDup *fuPool // cluster 1 (duplicate stream) when Clustered
 
-	// events, waiting and freeUops live in sc but are mirrored here as
-	// direct fields for the hot loop; Release writes them back.
+	// events and freeUops live in sc but are mirrored here as direct
+	// fields for the hot loop; Release writes them back.
 	sc       *scratch
 	events   eventQueue
 	freeUops []*uop
 	freeFn   func(*uop) // c.freeUop, bound once (method values allocate)
 
-	// waiting is the age-ordered list of dispatched-but-unissued uops
-	// that selectIssue scans — the issue window's candidates — replacing
-	// a full sweep of the RUU every cycle.
-	waiting []waitRef
+	// ready is the issue window's ready set, one bit per RUU buffer slot:
+	// bit i is set exactly when slot i holds a uWaiting uop with no
+	// pending producer (waitCount == 0). Dispatch and completeUop's
+	// wakeup loop set bits, trySelect clears them when it issues a uop or
+	// completes it by reuse, so selectIssue visits only uops wakeup has
+	// released instead of every waiting one.
+	ready []uint64
 
 	// regVer counts architected-register writes entering the pipeline,
 	// for the name-based reuse test. Wrong-path bumps are never undone:
@@ -201,6 +204,7 @@ func NewAt(cfg Config, m *fsim.Machine) (*Core, error) {
 		ruu:           newRing(cfg.RUUSize),
 		lsq:           newRing(cfg.LSQSize),
 		fq:            newFetchQueue(cfg.FetchQueue),
+		ready:         make([]uint64, (cfg.RUUSize+63)/64),
 	}
 	c.dupBuf = make([]*uop, c.streams-1)
 	if c.caps.Compare == CompareEpoch {
@@ -208,7 +212,6 @@ func NewAt(cfg Config, m *fsim.Machine) (*Core, error) {
 	}
 	c.sc = scratchPool.Get().(*scratch)
 	c.events = c.sc.events
-	c.waiting = c.sc.waiting
 	c.freeUops = c.sc.free
 	c.freeFn = c.freeUop
 	c.fus = newFUPool(cfg.FUs)
@@ -231,8 +234,8 @@ func NewAt(cfg Config, m *fsim.Machine) (*Core, error) {
 	return c, nil
 }
 
-// Release returns the core's recyclable buffers (the uop arena, event
-// heap and waiting list) to the package pool for the next run. The sim
+// Release returns the core's recyclable buffers (the uop arena and the
+// event heap) to the package pool for the next run. The sim
 // driver calls it when a run's statistics have been extracted; the core
 // must not be ticked afterwards. Release is idempotent and optional —
 // a core that is never released just leaves its buffers to the GC.
@@ -242,14 +245,12 @@ func (c *Core) Release() {
 		return
 	}
 	c.sc = nil
-	// Drop uop references held beyond the slices' logical lengths so the
-	// pooled backing arrays do not pin a finished run's pipeline state.
+	// Drop uop references held beyond the slice's logical length so the
+	// pooled backing array does not pin a finished run's pipeline state.
 	clear(c.events)
-	clear(c.waiting)
 	sc.events = c.events[:0]
-	sc.waiting = c.waiting[:0]
 	sc.free = c.freeUops
-	c.events, c.waiting, c.freeUops = nil, nil, nil
+	c.events, c.freeUops = nil, nil
 	scratchPool.Put(sc)
 }
 
@@ -277,7 +278,7 @@ func (c *Core) allocUop() *uop {
 
 // freeUop recycles u at commit or squash. Bumping the generation
 // invalidates every stale reference still held by the event heap,
-// consumer links, rename tables and the waiting list.
+// consumer links and rename tables.
 //
 //lint:hotpath
 func (c *Core) freeUop(u *uop) {
@@ -465,22 +466,26 @@ func (c *Core) dispatch() {
 			prev.pair = primary
 		}
 
-		c.ruu.push(primary)
+		primary.slot = c.ruu.push(primary)
 		if isMem {
 			primary.memAccess = true
 			c.lsq.push(primary)
 		}
-		if primary.state == uWaiting {
-			c.waiting = append(c.waiting, waitRef{primary, primary.gen})
-		}
 		for _, dupU := range dups {
-			c.ruu.push(dupU)
-			if dupU.state == uWaiting {
-				c.waiting = append(c.waiting, waitRef{dupU, dupU.gen})
-			}
+			dupU.slot = c.ruu.push(dupU)
 		}
 
 		c.wireAndRename(primary, dups)
+		// Copies waiting on no producer enter the ready set now; the
+		// rest join it when completeUop releases their last operand.
+		if primary.state == uWaiting && primary.waitCount == 0 {
+			c.ready[primary.slot>>6] |= 1 << (primary.slot & 63)
+		}
+		for _, dupU := range dups {
+			if dupU.state == uWaiting && dupU.waitCount == 0 {
+				c.ready[dupU.slot>>6] |= 1 << (dupU.slot & 63)
+			}
+		}
 		if c.tracer != nil {
 			c.tracer.Dispatch(c.cycle, primary.seq, false, wrong, &primary.rec)
 			for _, dupU := range dups {
@@ -702,30 +707,32 @@ func (c *Core) selectIssue() {
 	// the first pass regardless — it is overlapped with wakeup and
 	// consumes neither an issue slot nor a functional unit.
 	//
-	// Each pass scans the age-ordered waiting list — only the uops still
-	// in uWaiting, not the whole RUU — compacting it in place: entries
-	// that issued, completed by reuse, or went stale (squashed and
-	// recycled, detectable by the generation tag) are dropped.
+	// Each pass visits the ready set — only uops whose producers have all
+	// completed, not every waiting one — in RUU age order: buffer slots
+	// from the head to the end, then from 0 up to the head. The word
+	// under the cursor is re-read at every step, so a consumer that an
+	// IRBChaining reuse completion wakes mid-pass is still visited in the
+	// same pass: it is younger than its producer, hence ahead of the
+	// cursor.
+	head := c.ruu.head
 	for pass := 0; pass < 2; pass++ {
-		w := c.waiting[:0]
-		for k := 0; k < len(c.waiting); k++ {
-			ref := c.waiting[k]
-			u := ref.u
-			if u.gen != ref.gen || u.state != uWaiting {
-				continue
-			}
-			recovered := c.trySelect(u, pass, &slots, selDelay)
-			if u.state == uWaiting {
-				w = append(w, ref)
-			}
-			if recovered {
-				// Recovery already rebuilt c.waiting from the
-				// surviving window; the compaction in flight here
-				// is stale and must not be written back.
-				return
+		for seg, lo, hi := 0, head, len(c.ruu.buf); seg < 2; seg, lo, hi = seg+1, 0, head {
+			for i := lo; i < hi; i++ {
+				w := c.ready[i>>6] >> (i & 63)
+				if w == 0 {
+					i |= 63 // the loop increment moves to the next word
+					continue
+				}
+				if i += bits.TrailingZeros64(w); i >= hi {
+					break
+				}
+				if c.trySelect(c.ruu.buf[i], pass, &slots, selDelay) {
+					// Recovery rebuilt the ready set from the
+					// surviving window; this scan is stale.
+					return
+				}
 			}
 		}
-		c.waiting = w
 		if c.streams == 1 {
 			break
 		}
@@ -744,7 +751,9 @@ func (c *Core) selectIssue() {
 //
 //lint:hotpath
 func (c *Core) trySelect(u *uop, pass int, slots *int, selDelay uint64) bool {
-	if u.waitCount > 0 || u.readyAt+selDelay > c.cycle {
+	// The ready set holds only uops with no pending producer; the last
+	// producer's broadcast may still be in flight.
+	if u.readyAt+selDelay > c.cycle {
 		return false
 	}
 
@@ -757,6 +766,7 @@ func (c *Core) trySelect(u *uop, pass int, slots *int, selDelay uint64) bool {
 				c.tracer.ReuseHit(c.cycle, u.seq, &u.rec)
 			}
 			u.outSig = irbOutSig(&u.rec, u.irbEntry)
+			c.ready[u.slot>>6] &^= 1 << (u.slot & 63)
 			return c.completeUop(u)
 		}
 		c.Stats.IRBReuseMiss++
@@ -787,6 +797,7 @@ func (c *Core) trySelect(u *uop, pass int, slots *int, selDelay uint64) bool {
 		c.tracer.Issue(c.cycle, u.seq, u.dup, &u.rec)
 	}
 	u.state = uIssued
+	c.ready[u.slot>>6] &^= 1 << (u.slot & 63)
 	if op.Info().IsMem() {
 		// Address generation: one IntALU cycle; the memory access
 		// (primary copy only) follows via the LSQ.
@@ -982,6 +993,9 @@ func (c *Core) completeUop(u *uop) bool {
 		if consumer.readyAt < at {
 			consumer.readyAt = at
 		}
+		if consumer.waitCount == 0 && consumer.state == uWaiting {
+			c.ready[consumer.slot>>6] |= 1 << (consumer.slot & 63)
+		}
 	}
 	u.consumers = u.consumers[:0]
 
@@ -1023,13 +1037,13 @@ func (c *Core) recover(u *uop) {
 		c.tracer.Squash(c.cycle, killed)
 	}
 	c.rebuildRename()
-	// Rebuild the waiting list from the surviving window: the squashed
-	// suffix is gone, and when recovery fired from inside selectIssue a
-	// compaction was in flight over the old list.
-	c.waiting = c.waiting[:0]
+	// Rebuild the ready set from the surviving window: the squashed
+	// suffix's slots are free again. Survivors are older than every
+	// squashed uop, so none of them was waiting on one.
+	clear(c.ready)
 	for i := 0; i < c.ruu.len(); i++ {
-		if s := c.ruu.at(i); s.state == uWaiting {
-			c.waiting = append(c.waiting, waitRef{s, s.gen})
+		if s := c.ruu.at(i); s.state == uWaiting && s.waitCount == 0 {
+			c.ready[s.slot>>6] |= 1 << (s.slot & 63)
 		}
 	}
 	if c.trb != nil {

@@ -22,12 +22,14 @@ const (
 //
 // uops are recycled through the core's free list rather than allocated per
 // instruction. gen counts recyclings: every reference that can outlive the
-// uop (completion events, consumer links, waiting-list entries, rename
-// table slots) carries the gen it was created under and is dropped when
-// the counts no longer match.
+// uop (completion events, consumer links, rename table slots) carries the
+// gen it was created under and is dropped when the counts no longer match.
+// The ready set needs no such tag: it names RUU slots, and a slot's bit is
+// cleared before its uop can leave the window.
 type uop struct {
 	seq  uint64 // global dispatch order
 	gen  uint32 // recycling generation (bumped on free)
+	slot int    // RUU buffer index, recorded at dispatch (ready-set bit)
 	rec  fsim.Retired
 	dup  bool
 	pair *uop // other member of the DIE pair (nil in SIE)
@@ -85,14 +87,6 @@ type uop struct {
 // wired under; a consumer that was squashed and recycled before its
 // producer completed is recognized by the mismatch and skipped.
 type consumerLink struct {
-	u   *uop
-	gen uint32
-}
-
-// waitRef is one entry of the age-ordered waiting list selectIssue scans.
-// Entries are dropped lazily: a stale generation means the uop was
-// squashed and its slot reissued.
-type waitRef struct {
 	u   *uop
 	gen uint32
 }
@@ -341,12 +335,16 @@ func (r *ring) idx(i int) int {
 	return i
 }
 
-func (r *ring) push(u *uop) {
+// push appends u at the tail and returns the buffer index it occupies
+// until it retires or is squashed.
+func (r *ring) push(u *uop) int {
 	if r.size == len(r.buf) {
 		throw("core: ring overflow")
 	}
-	r.buf[r.idx(r.size)] = u
+	i := r.idx(r.size)
+	r.buf[i] = u
 	r.size++
+	return i
 }
 
 func (r *ring) at(i int) *uop { return r.buf[r.idx(i)] }

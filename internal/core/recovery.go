@@ -124,7 +124,7 @@ func (c *Core) recoverFault(head, dupU *uop) {
 		c.tracer.Squash(c.cycle, killed)
 	}
 	c.rebuildRename()
-	c.waiting = c.waiting[:0]
+	clear(c.ready) // the flush emptied the RUU
 	c.fetchPC = pc
 	c.fq.clear()
 	c.fetchStopped = false

@@ -2,6 +2,7 @@ package fsim
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/program"
@@ -18,6 +19,11 @@ import (
 type Trace struct {
 	prog *program.Program
 	recs []Retired
+
+	// image is the program's initial memory, built once by Capture and
+	// never written again: replay machines map its pages copy-on-write
+	// instead of re-installing the data segment.
+	image *Memory
 
 	preflightOnce sync.Once
 	preflightErr  error
@@ -37,6 +43,11 @@ func Capture(prog *program.Program, maxInstrs uint64) (*Trace, error) {
 	}
 	t := &Trace{prog: prog, recs: make([]Retired, 0, capHint)}
 	m := New(prog)
+	// New's memory becomes the read-only image; the capture machine runs
+	// on a second memory mapping the same pages, copying each before its
+	// first store exactly as a replay machine does.
+	t.image = m.Mem
+	m.Mem = &Memory{pages: maps.Clone(t.image.pages)}
 	for uint64(len(t.recs)) < maxInstrs && !m.Halted {
 		r, err := m.Step()
 		if err != nil {
@@ -122,11 +133,18 @@ func (c *Cursor) Remaining() uint64 { return uint64(len(c.recs) - c.pos) }
 // interpretation seamlessly — the architectural state at the trace's end
 // is exactly what the interpreter needs to continue.
 //
+// The machine's memory maps the trace's initial image instead of
+// installing the data segment again: set-up clones only the page
+// directory, and a page is copied on the machine's first store to it.
+//
 // The wrong-path overlay (Front) composes with replay unchanged: the
 // overlay reads the machine's registers and memory, which replay keeps as
 // current as interpretation would.
 func NewReplay(t *Trace) *Machine {
-	m := New(t.prog)
-	m.replay = t
-	return m
+	return &Machine{
+		Prog:   t.prog,
+		Mem:    &Memory{pages: maps.Clone(t.image.pages)},
+		PC:     t.prog.Entry,
+		replay: t,
+	}
 }

@@ -236,8 +236,8 @@ func RunContext(ctx context.Context, name string, cfg core.Config, p workload.Pr
 	if err != nil {
 		return Result{}, err
 	}
-	// Return the core's recycled buffers (event heap, waiting list, uop
-	// arena) to the shared pool once the stats below have been copied out.
+	// Return the core's recycled buffers (event heap, uop arena) to the
+	// shared pool once the stats below have been copied out.
 	defer c.Release()
 	if opts.Injector != nil {
 		c.SetInjector(opts.Injector)
