@@ -79,6 +79,14 @@ func Analyze(p *program.Program) *Report {
 
 // AnalyzeConfig is Analyze with an explicit predictor configuration.
 func AnalyzeConfig(p *program.Program, pc PredictorConfig) *Report {
+	r := diagnose(p)
+	r.Prediction = predict(r.CFG, pc)
+	return r
+}
+
+// diagnose runs every pass except the reuse prediction, which is left
+// zero.
+func diagnose(p *program.Program) *Report {
 	g := BuildCFG(p)
 	lv := ComputeLiveness(g)
 	r := &Report{
@@ -93,7 +101,6 @@ func AnalyzeConfig(p *program.Program, pc PredictorConfig) *Report {
 	r.checkDataAddresses()
 	r.checkFallthrough()
 	sort.SliceStable(r.Diags, func(i, j int) bool { return r.Diags[i].PC < r.Diags[j].PC })
-	r.Prediction = predict(g, pc)
 	return r
 }
 
@@ -104,7 +111,10 @@ func Check(p *program.Program) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	r := Analyze(p)
+	// The reuse prediction plays no part in the verdict, and its value
+	// tally allocates in proportion to the data segment, so the
+	// simulation preflight skips it.
+	r := diagnose(p)
 	if len(r.Diags) == 0 {
 		return nil
 	}
@@ -238,13 +248,10 @@ func (r *Report) checkDataAddresses() {
 // dataExtent returns one past the highest initialized data byte, rounded
 // to words; programs with no data get a zero-sized segment.
 func dataExtent(p *program.Program) uint64 {
-	var max uint64
-	for addr := range p.Data {
-		if addr+8 > max {
-			max = addr + 8
-		}
+	if len(p.Data) == 0 {
+		return 0
 	}
-	return max
+	return p.DataBase + 8*uint64(len(p.Data))
 }
 
 func (r *Report) checkFallthrough() {

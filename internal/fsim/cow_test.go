@@ -40,7 +40,8 @@ func sameInitialMemory(t *testing.T, who string, m *Machine, prog *program.Progr
 	if got, want := m.Mem.Footprint(), ref.Mem.Footprint(); got != want {
 		t.Errorf("%s: footprint %d pages, want %d", who, got, want)
 	}
-	for addr, v := range prog.Data {
+	for i, v := range prog.Data {
+		addr := prog.DataBase + 8*uint64(i)
 		if got := m.Mem.Read(addr); got != v || got != ref.Mem.Read(addr) {
 			t.Fatalf("%s: mem[%d] = %d, want %d", who, addr, got, v)
 		}
@@ -101,7 +102,8 @@ func TestReplayMemoryIsolated(t *testing.T) {
 	if got, want := a.Mem.Footprint()-1, direct.Mem.Footprint(); got != want {
 		t.Errorf("replay footprint %d (less the extra page), direct %d", got, want)
 	}
-	for addr := range prog.Data {
+	for i := range prog.Data {
+		addr := prog.DataBase + 8*uint64(i)
 		if got, want := a.Mem.Read(addr), direct.Mem.Read(addr); got != want {
 			t.Fatalf("mem[%d]: replay %d, direct %d", addr, got, want)
 		}

@@ -17,7 +17,6 @@ package fsim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/program"
@@ -62,18 +61,10 @@ type Machine struct {
 // entry point, registers cleared.
 func New(prog *program.Program) *Machine {
 	m := &Machine{Prog: prog, Mem: NewMemory(), PC: prog.Entry}
-	// Install the data segment in address order. Memory contents are
-	// insensitive to install order today (one write per address), but the
-	// sparse page directory's allocation pattern is not, and iterating the
-	// map directly would bake Go's randomized order into anything that
-	// ever observes it.
-	addrs := make([]uint64, 0, len(prog.Data))
-	for addr := range prog.Data {
-		addrs = append(addrs, addr)
-	}
-	slices.Sort(addrs)
-	for _, addr := range addrs {
-		m.Mem.Write(addr, prog.Data[addr])
+	// The segment is address-ordered, so the sparse page directory is
+	// always built in the same order.
+	for i, v := range prog.Data {
+		m.Mem.Write(prog.DataBase+8*uint64(i), v)
 	}
 	return m
 }

@@ -7,6 +7,7 @@ package program
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -18,9 +19,11 @@ type Program struct {
 	// Code is the instruction memory. PC values index this slice.
 	Code []isa.Instr
 
-	// Data holds the initial contents of data memory as 8-byte words
-	// keyed by byte address (8-byte aligned).
-	Data map[uint64]uint64
+	// Data holds the initial contents of data memory as one contiguous,
+	// address-ordered segment of 8-byte words: Data[i] is the word at
+	// byte address DataBase+8*i. Memory outside the segment reads zero.
+	Data     []uint64
+	DataBase uint64
 
 	// Entry is the PC of the first instruction to execute.
 	Entry uint64
@@ -73,12 +76,11 @@ func (p *Program) Validate() error {
 // Builder assembles a Program instruction by instruction, resolving
 // symbolic branch labels in a single backpatching pass at Build time.
 type Builder struct {
-	name    string
-	code    []isa.Instr
-	data    map[uint64]uint64
-	labels  map[string]uint64
-	fixups  []fixup
-	dataPtr uint64
+	name   string
+	code   []isa.Instr
+	data   []uint64
+	labels map[string]uint64
+	fixups []fixup
 }
 
 type fixup struct {
@@ -90,13 +92,14 @@ type fixup struct {
 func NewBuilder(name string) *Builder {
 	return &Builder{
 		name:   name,
-		data:   make(map[uint64]uint64),
 		labels: make(map[string]uint64),
-		// Keep address 0 unused so that "null pointer" chases in
-		// generated workloads read a well-defined zero word.
-		dataPtr: 64,
 	}
 }
+
+// dataBase is the byte address of a built program's first data word. It
+// keeps address 0 unused so that "null pointer" chases in generated
+// workloads read a well-defined zero word.
+const dataBase = 64
 
 // PC returns the index the next emitted instruction will occupy.
 func (b *Builder) PC() uint64 { return uint64(len(b.code)) }
@@ -168,25 +171,24 @@ func (b *Builder) LoadConst(reg isa.Reg, v int64) {
 
 // Word appends one 8-byte word to the data segment and returns its address.
 func (b *Builder) Word(v uint64) uint64 {
-	addr := b.dataPtr
-	b.data[addr] = v
-	b.dataPtr += 8
+	addr := b.DataSize()
+	b.data = append(b.data, v)
 	return addr
 }
 
 // Array reserves n consecutive words initialized by init(i) and returns the
 // base address.
 func (b *Builder) Array(n int, init func(i int) uint64) uint64 {
-	base := b.dataPtr
+	base := b.DataSize()
+	b.data = slices.Grow(b.data, n)
 	for i := 0; i < n; i++ {
-		b.data[b.dataPtr] = init(i)
-		b.dataPtr += 8
+		b.data = append(b.data, init(i))
 	}
 	return base
 }
 
 // DataSize returns the current extent of the data segment in bytes.
-func (b *Builder) DataSize() uint64 { return b.dataPtr }
+func (b *Builder) DataSize() uint64 { return dataBase + 8*uint64(len(b.data)) }
 
 // Build resolves all label fixups and returns the validated program.
 func (b *Builder) Build() (*Program, error) {
@@ -197,7 +199,7 @@ func (b *Builder) Build() (*Program, error) {
 		}
 		b.code[f.pc].Imm = int32(int64(target) - int64(f.pc))
 	}
-	p := &Program{Name: b.name, Code: b.code, Data: b.data}
+	p := &Program{Name: b.name, Code: b.code, Data: b.data, DataBase: dataBase}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -87,11 +87,15 @@ func TestDataSegment(t *testing.T) {
 	}
 	b.Emit(isa.Instr{Op: isa.OpHalt})
 	p := b.MustBuild()
-	if p.Data[a0] != 42 {
-		t.Errorf("Data[%d] = %d, want 42", a0, p.Data[a0])
+	if p.DataBase != a0 || len(p.Data) != 5 {
+		t.Fatalf("data segment at %d, %d words; want %d, 5", p.DataBase, len(p.Data), a0)
 	}
-	if p.Data[base+24] != 9 {
-		t.Errorf("Array[3] = %d, want 9", p.Data[base+24])
+	word := func(addr uint64) uint64 { return p.Data[(addr-p.DataBase)/8] }
+	if got := word(a0); got != 42 {
+		t.Errorf("word at %d = %d, want 42", a0, got)
+	}
+	if got := word(base + 24); got != 9 {
+		t.Errorf("Array[3] = %d, want 9", got)
 	}
 	if b.DataSize() != base+32 {
 		t.Errorf("DataSize = %d, want %d", b.DataSize(), base+32)

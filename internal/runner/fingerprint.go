@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/program"
@@ -100,15 +99,10 @@ func programDigest(p *program.Program) string {
 		binary.LittleEndian.PutUint64(w[:], word)
 		h.Write(w[:])
 	}
-	addrs := make([]uint64, 0, len(p.Data))
-	for a := range p.Data {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, k int) bool { return addrs[i] < addrs[k] })
-	for _, a := range addrs {
-		binary.LittleEndian.PutUint64(w[:], a)
+	for i, v := range p.Data {
+		binary.LittleEndian.PutUint64(w[:], p.DataBase+8*uint64(i))
 		h.Write(w[:])
-		binary.LittleEndian.PutUint64(w[:], p.Data[a])
+		binary.LittleEndian.PutUint64(w[:], v)
 		h.Write(w[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))

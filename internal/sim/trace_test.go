@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/fsim"
@@ -126,13 +125,8 @@ func programChecksum(t *testing.T, prog *program.Program) uint64 {
 	for _, in := range prog.Code {
 		fmt.Fprintf(h, "%+v;", in)
 	}
-	addrs := make([]uint64, 0, len(prog.Data))
-	for a := range prog.Data {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		fmt.Fprintf(h, "%d=%d;", a, prog.Data[a])
+	for i, v := range prog.Data {
+		fmt.Fprintf(h, "%d=%d;", prog.DataBase+8*uint64(i), v)
 	}
 	return h.Sum64()
 }
