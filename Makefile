@@ -21,10 +21,13 @@ race:
 vet:
 	$(GO) vet ./...
 
-# go vet, then the repository invariant suite (internal/lint/...: nopanic,
-# determinism, modedispatch, hotalloc, errcontract) and the static workload
-# analyzer over every benchmark and kernel; each exits nonzero on findings.
+# gofmt (any file `gofmt -l` lists fails the gate), go vet, then the
+# repository invariant suite (internal/lint/...: nopanic, determinism,
+# modedispatch, hotalloc, errcontract) and the static workload analyzer
+# over every benchmark and kernel; each exits nonzero on findings.
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/repolint
 	$(GO) run ./cmd/irblint

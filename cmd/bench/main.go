@@ -257,9 +257,6 @@ func main() {
 	serial.Parallelism = 1
 	grid("GridSerial", serial)
 	grid("GridParallel", gridOpts)
-	noReplay := gridOpts
-	noReplay.DisableReplay = true
-	grid("GridParallelNoReplay", noReplay)
 
 	prog, err := workload.Generate(gzip.WithIters(1_000_000))
 	if err != nil {

@@ -12,7 +12,6 @@
 //	sweep -exp irbhit -bench gzip,mesa # subset of benchmarks
 //	sweep -exp fig2 -format csv        # csv or json instead of a table
 //	sweep -exp all -progress           # live cells-done/ETA on stderr
-//	sweep -exp headline -trace-replay=off  # per-cell interpretation
 //	sweep -exp all -cpuprofile cpu.pprof   # profile the sweep
 //	sweep -exp recovery -cell-timeout 5m   # bound each cell's wall-clock
 //
@@ -52,17 +51,11 @@ func main() {
 	format := cliutil.Format(flag.CommandLine)
 	csv := flag.Bool("csv", false, "deprecated: alias for -format csv")
 	progress := flag.Bool("progress", false, "report live per-cell progress on stderr")
-	traceReplay := flag.String("trace-replay", "on",
-		"on: capture each benchmark's functional trace once and replay it in every cell; off: interpret per cell")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a post-sweep heap profile to this file")
 	flag.Parse()
 	if *csv {
 		*format = "csv"
-	}
-	if *traceReplay != "on" && *traceReplay != "off" {
-		fmt.Fprintf(os.Stderr, "sweep: -trace-replay must be on or off, got %q\n", *traceReplay)
-		os.Exit(1)
 	}
 
 	// Ctrl-C cancels the sweep: in-flight simulations stop within a
@@ -72,7 +65,6 @@ func main() {
 
 	opts := fl.Options()
 	opts.Context = ctx
-	opts.DisableReplay = *traceReplay == "off"
 	if *progress {
 		opts.Progress = func(p runner.Progress) {
 			fmt.Fprintf(os.Stderr, "\r%4d/%d cells  %-40s eta %-10s",

@@ -10,9 +10,9 @@ import (
 // exactly in one machine word (isa.NumRegs == 64).
 type regSet uint64
 
-func (s regSet) has(r isa.Reg) bool  { return s&(1<<r) != 0 }
-func (s *regSet) add(r isa.Reg)      { *s |= 1 << r }
-func (s regSet) count() int          { return bits.OnesCount64(uint64(s)) }
+func (s regSet) has(r isa.Reg) bool       { return s&(1<<r) != 0 }
+func (s *regSet) add(r isa.Reg)           { *s |= 1 << r }
+func (s regSet) count() int               { return bits.OnesCount64(uint64(s)) }
 func (s regSet) without(r isa.Reg) regSet { return s &^ (1 << r) }
 
 // regs returns the members of the set in ascending order.

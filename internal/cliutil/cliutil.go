@@ -119,7 +119,7 @@ func RegisterExperimentFlags(fs *flag.FlagSet, defInsns uint64, defBench string)
 }
 
 // Options translates the parsed flags into experiment options. Callers add
-// the knobs that stay command-specific (Context, Progress, DisableReplay).
+// the knobs that stay command-specific (Context, Progress).
 func (f *ExperimentFlags) Options() experiments.Options {
 	return experiments.Options{
 		Insns:       *f.Insns,

@@ -38,12 +38,6 @@ type Options struct {
 	// Context, when non-nil, cancels a sweep mid-grid; the experiment
 	// returns the context's error with whatever cells completed.
 	Context context.Context
-	// DisableReplay turns off the trace-replay fast path: every cell
-	// generates and interprets its own program, as the pre-trace harness
-	// did. Replay is bit-identical by construction (and tested to be), so
-	// this is an escape hatch for debugging the replay machinery itself,
-	// not a fidelity knob.
-	DisableReplay bool
 	// CellTimeout bounds each grid cell's wall-clock time (0 = unbounded);
 	// see runner.Options.CellTimeout. A hung cell times out (after one
 	// retry) with a per-cell error instead of stalling the whole sweep.
@@ -154,14 +148,6 @@ func runGridProfiles(cfgs []sim.NamedConfig, profiles []workload.Profile, opts O
 		g.Benchmarks = append(g.Benchmarks, p.Name)
 		for _, nc := range cfgs {
 			jobs = append(jobs, runner.Job{Name: nc.Name, Config: nc.Cfg, Profile: p, Opts: opts.simOpts()})
-		}
-	}
-	// Capture each benchmark's functional execution once and share it
-	// across the configuration columns: program generation, preflight
-	// analysis and interpretation are paid per benchmark, not per cell.
-	if !opts.DisableReplay {
-		if err := runner.AttachTraces(jobs); err != nil {
-			return g, err
 		}
 	}
 	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())
@@ -490,16 +476,6 @@ func Faults(opts Options) ([]FaultRow, *stats.Table, error) {
 			injs = append(injs, inj)
 		}
 	}
-	// The trace records the fault-free architectural stream — exactly what
-	// the commit-time oracle and the dispatch front need; injected faults
-	// live in the timing core's duplicated values, not here. Each profile
-	// appears once per campaign, so sharing saves len(campaigns)-1
-	// generations and interpretations per benchmark.
-	if !opts.DisableReplay {
-		if err := runner.AttachTraces(jobs); err != nil {
-			return nil, nil, err
-		}
-	}
 	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())
 	if err != nil {
 		return nil, nil, err
@@ -585,11 +561,6 @@ func Recovery(opts Options) ([]RecoveryRow, *stats.Table, error) {
 				jobs = append(jobs, runner.Job{Name: string(c.mode), Config: c.cfg, Profile: p, Opts: o})
 				injs = append(injs, inj)
 			}
-		}
-	}
-	if !opts.DisableReplay {
-		if err := runner.AttachTraces(jobs); err != nil {
-			return nil, nil, err
 		}
 	}
 	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())

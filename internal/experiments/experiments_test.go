@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -448,24 +447,5 @@ func TestReusePredictionCrossValidates(t *testing.T) {
 	}
 	if !strings.Contains(tbl.String(), "SPEARMAN") {
 		t.Error("table missing SPEARMAN summary row")
-	}
-}
-
-// TestDisableReplayEquivalent: the trace-replay fast path is a pure
-// engineering optimization — a grid run with it disabled must produce
-// the identical Grid.
-func TestDisableReplayEquivalent(t *testing.T) {
-	opts := Options{Insns: 15_000, Benchmarks: []string{"bzip2", "ammp"}, Verify: true}
-	replay, _, _, err := Headline(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.DisableReplay = true
-	direct, _, _, err := Headline(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(replay.Results, direct.Results) {
-		t.Error("replay-backed grid differs from direct grid")
 	}
 }

@@ -97,11 +97,6 @@ func Frontier(opts Options) ([]FrontierRow, *stats.Table, error) {
 			injs = append(injs, inj)
 		}
 	}
-	if !opts.DisableReplay {
-		if err := runner.AttachTraces(jobs); err != nil {
-			return nil, nil, err
-		}
-	}
 	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())
 	if err != nil {
 		return nil, nil, err

@@ -17,9 +17,9 @@ func faultQuickOpts() Options {
 }
 
 // TestFaultsDeterministic: the campaign table is a pure function of its
-// inputs — worker count and the trace-replay fast path must not change a
-// single counter. This is the property that makes fault campaigns
-// reviewable artifacts rather than one-off observations.
+// inputs — the worker count must not change a single counter. This is
+// the property that makes fault campaigns reviewable artifacts rather
+// than one-off observations.
 func TestFaultsDeterministic(t *testing.T) {
 	variants := []struct {
 		name string
@@ -27,12 +27,6 @@ func TestFaultsDeterministic(t *testing.T) {
 	}{
 		{"serial", func() Options { o := faultQuickOpts(); o.Parallelism = 1; return o }()},
 		{"parallel-8", func() Options { o := faultQuickOpts(); o.Parallelism = 8; return o }()},
-		{"no-replay", func() Options {
-			o := faultQuickOpts()
-			o.Parallelism = 8
-			o.DisableReplay = true
-			return o
-		}()},
 	}
 	var ref []FaultRow
 	for _, v := range variants {

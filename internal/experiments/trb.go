@@ -80,11 +80,6 @@ func TRBAblation(opts Options) ([]TRBRow, []FaultRow, *stats.Table, error) {
 			injs = append(injs, inj)
 		}
 	}
-	if !opts.DisableReplay {
-		if err := runner.AttachTraces(jobs); err != nil {
-			return nil, nil, nil, err
-		}
-	}
 	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())
 	if err != nil {
 		return nil, nil, nil, err

@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/core"
@@ -114,12 +113,7 @@ func runBatchOnce(ctx context.Context, jobs []Job, lanes []int) (outs []sim.Batc
 	leader := jobs[lanes[0]]
 	defer func() {
 		if v := recover(); v != nil {
-			err = &CellPanicError{
-				Bench:  leader.Profile.Name,
-				Config: leader.Name,
-				Value:  v,
-				Stack:  debug.Stack(),
-			}
+			err = cellPanic(leader, v)
 		}
 	}()
 	opts := leader.Opts

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -62,7 +63,7 @@ func (j Job) Cost() float64 {
 	w *= 1 + float64(j.Config.IssueWidth)/32
 	w *= 1 + float64(j.Config.RUUSize)/512
 	if j.Opts.Verify {
-		w *= 1.15 // the oracle re-executes every committed instruction
+		w *= 1.15 // a lone cell's oracle re-executes every committed instruction
 	}
 	return w
 }
@@ -79,6 +80,15 @@ type traceKey struct {
 	program     *program.Program
 }
 
+// traceKey returns the key of the functional execution j performs.
+func (j Job) traceKey() traceKey {
+	insns := j.Opts.Insns
+	if insns == 0 {
+		insns = sim.DefaultInsns
+	}
+	return traceKey{j.Profile, insns, j.Opts.FastForward, j.Opts.Seed, j.Opts.Program}
+}
+
 // AttachTraces captures one functional-execution trace per distinct
 // workload among jobs and installs it as Options.Trace on every cell that
 // runs that workload. A grid of B benchmarks × C configurations then
@@ -87,6 +97,7 @@ type traceKey struct {
 // already carry a trace are left untouched, so callers can pre-seed
 // specific cells. On error the jobs already processed keep their traces —
 // attaching is idempotent and safe to retry.
+// Run itself traces only workloads that repeat among its cache misses.
 func AttachTraces(jobs []Job) error {
 	traces := make(map[traceKey]*fsim.Trace)
 	for i := range jobs {
@@ -94,11 +105,7 @@ func AttachTraces(jobs []Job) error {
 		if j.Opts.Trace != nil {
 			continue
 		}
-		insns := j.Opts.Insns
-		if insns == 0 {
-			insns = sim.DefaultInsns
-		}
-		k := traceKey{j.Profile, insns, j.Opts.FastForward, j.Opts.Seed, j.Opts.Program}
+		k := j.traceKey()
 		tr, ok := traces[k]
 		if !ok {
 			var err error
@@ -111,6 +118,44 @@ func AttachTraces(jobs []Job) error {
 		j.Opts.Trace = tr
 	}
 	return nil
+}
+
+// shareTraces captures one trace for each workload that at least two of
+// the untraced cells to run execute, and installs it on those cells. A
+// lone cell would be its trace's only reader, so it interprets directly.
+// The traces go on a copy of jobs, never the caller's slice. A workload
+// whose capture fails stays untraced; its cells then fail on their own.
+func shareTraces(ctx context.Context, jobs []Job, toRun func(int) bool) []Job {
+	untraced := func(i int) bool { return toRun(i) && jobs[i].Opts.Trace == nil }
+	runs := make(map[traceKey]int)
+	for i := range jobs {
+		if untraced(i) {
+			runs[jobs[i].traceKey()]++
+		}
+	}
+	traces := make(map[traceKey]*fsim.Trace)
+	var shared []Job
+	for i, j := range jobs {
+		k := j.traceKey()
+		if !untraced(i) || runs[k] < 2 || ctx.Err() != nil {
+			continue
+		}
+		tr, ok := traces[k]
+		if !ok {
+			tr, _ = sim.CaptureTrace(j.Profile, j.Opts) // nil on failure
+			traces[k] = tr
+		}
+		if tr != nil {
+			if shared == nil {
+				shared = slices.Clone(jobs)
+			}
+			shared[i].Opts.Trace = tr
+		}
+	}
+	if shared == nil {
+		return jobs
+	}
+	return shared
 }
 
 // Outcome is the terminal state of one job: its Result on success, or
@@ -212,6 +257,12 @@ func (e *CellPanicError) Error() string {
 	return fmt.Sprintf("runner: %s on %s panicked: %v\n%s", e.Bench, e.Config, e.Value, e.Stack)
 }
 
+// cellPanic records a panic recovered under cell j, with the stack of
+// the panicking goroutine.
+func cellPanic(j Job, v any) error {
+	return &CellPanicError{Bench: j.Profile.Name, Config: j.Name, Value: v, Stack: debug.Stack()}
+}
+
 // CellTimeoutError reports that one cell exceeded Options.CellTimeout on
 // every attempt. It deliberately does not unwrap to
 // context.DeadlineExceeded: the per-cell deadline is a failure of that
@@ -245,12 +296,7 @@ var simRun = sim.RunContext
 func runCellOnce(ctx context.Context, j Job) (res sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			err = &CellPanicError{
-				Bench:  j.Profile.Name,
-				Config: j.Name,
-				Value:  v,
-				Stack:  debug.Stack(),
-			}
+			err = cellPanic(j, v)
 		}
 	}()
 	return simRun(ctx, j.Name, j.Config, j.Profile, j.Opts)
@@ -298,12 +344,7 @@ func runCell(ctx context.Context, j Job, timeout time.Duration) (sim.Result, err
 func runDispatch(ctx context.Context, j Job, exec func(context.Context, Job) (sim.Result, error)) (res sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			err = &CellPanicError{
-				Bench:  j.Profile.Name,
-				Config: j.Name,
-				Value:  v,
-				Stack:  debug.Stack(),
-			}
+			err = cellPanic(j, v)
 		}
 	}()
 	return exec(ctx, j)
@@ -370,6 +411,14 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 		}
 	}
 
+	// Trace sharing is decided after the cache lookup, where it is known
+	// which workloads repeat among the cells that will run. Shipped cells
+	// get none; jobs may now be Run's own copy (outs hold the caller's).
+	toRun := func(i int) bool { return !outs[i].CacheHit }
+	if opts.Execute == nil {
+		jobs = shareTraces(ctx, jobs, toRun)
+	}
+
 	// The batch planner groups cells that are identical up to their fault
 	// injector; each group runs as one lockstep leader (phase one), and
 	// lanes whose injector fires fall back to scalar cells (phase two).
@@ -378,7 +427,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 	var groups [][]int
 	batched := make([]bool, len(jobs))
 	if !opts.NoBatch && opts.Execute == nil {
-		groups = planBatches(jobs, func(i int) bool { return !outs[i].CacheHit })
+		groups = planBatches(jobs, toRun)
 		for _, g := range groups {
 			for _, i := range g {
 				batched[i] = true

@@ -273,29 +273,42 @@ func TestAttachTracesSharesPerWorkload(t *testing.T) {
 }
 
 // TestAttachTracesMatchesDirectRun: a traced grid must produce results
-// identical to the same grid run without traces.
+// identical to direct interpretation. The reference comes from
+// sim.RunContext per job, since Run itself shares traces among the cells
+// of a repeated workload; both the runner's own sharing and AttachTraces'
+// pre-seeded traces are checked against it.
 func TestAttachTracesMatchesDirectRun(t *testing.T) {
-	direct := testJobs(t, []string{"bzip2"}, 8_000)
-	traced := testJobs(t, []string{"bzip2"}, 8_000)
-	for i := range direct {
-		direct[i].Opts.Verify = true
-		traced[i].Opts.Verify = true
+	jobs := testJobs(t, []string{"bzip2"}, 8_000)
+	for i := range jobs {
+		jobs[i].Opts.Verify = true
 	}
-	if err := runner.AttachTraces(traced); err != nil {
-		t.Fatal(err)
+	direct := make([]sim.Result, len(jobs))
+	for i, j := range jobs {
+		res, err := sim.RunContext(context.Background(), j.Name, j.Config, j.Profile, j.Opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct[i] = res
 	}
-	dOuts, err := runner.Run(context.Background(), direct, runner.Options{Parallelism: 2})
+	shared, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tOuts, err := runner.Run(context.Background(), traced, runner.Options{Parallelism: 2})
+	if err := runner.AttachTraces(jobs); err != nil {
+		t.Fatal(err)
+	}
+	attached, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range dOuts {
-		if !reflect.DeepEqual(dOuts[i].Result, tOuts[i].Result) {
-			t.Errorf("cell %d (%s/%s) differs between traced and direct runs",
-				i, direct[i].Profile.Name, direct[i].Name)
+	for i := range jobs {
+		if !reflect.DeepEqual(direct[i], shared[i].Result) {
+			t.Errorf("cell %d (%s/%s) differs between the runner's shared trace and a direct run",
+				i, jobs[i].Profile.Name, jobs[i].Name)
+		}
+		if !reflect.DeepEqual(direct[i], attached[i].Result) {
+			t.Errorf("cell %d (%s/%s) differs between an attached trace and a direct run",
+				i, jobs[i].Profile.Name, jobs[i].Name)
 		}
 	}
 }

@@ -77,16 +77,6 @@ func (c *resultCache) Put(key string, res sim.Result) {
 	}
 }
 
-// Contains reports key presence without touching recency or the hit/miss
-// counters; the server uses it to decide which jobs still need a trace
-// attached before dispatch.
-func (c *resultCache) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
-}
-
 // cacheStats is a consistent snapshot of the cache counters.
 type cacheStats struct {
 	Hits, Misses, Inserts, Evictions uint64

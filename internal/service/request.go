@@ -49,6 +49,27 @@ func (e *unknownModeError) Error() string {
 // modes; the HTTP layer renders it as a 400.
 var ErrNoConfigs = errors.New("configs: at least one configuration or mode name required (see GET /v1/configs, GET /v1/modes)")
 
+// errOverBudget rejects a request over maxTraceRecords; the HTTP layer
+// renders it as a 413, like a request over Config.MaxCells.
+var errOverBudget = errors.New("request exceeds the instruction budget")
+
+// maxTraceRecords bounds profiles × (insns + fast_forward) per request.
+// The runner may hold one 88-byte trace record per instruction of each
+// profile before a cell runs; 1<<24 records (~1.4 GiB) admit the default
+// of 12 profiles at sim.DefaultInsns (3.6M records) four times over.
+const maxTraceRecords = 1 << 24
+
+// checkTraceBudget enforces maxTraceRecords without overflowing uint64:
+// each term is bounded before it is added or multiplied.
+func checkTraceBudget(profiles int, insns, fastForward uint64) error {
+	if insns > maxTraceRecords || fastForward > maxTraceRecords-insns ||
+		(profiles > 0 && insns+fastForward > maxTraceRecords/uint64(profiles)) {
+		return fmt.Errorf("%w: %d profiles × (%d insns + %d fast_forward), limit %d records",
+			errOverBudget, profiles, insns, fastForward, maxTraceRecords)
+	}
+	return nil
+}
+
 // unknownConfigError mirrors unknownModeError for the named-configuration
 // column source, keeping the rejection selectable with errors.As instead
 // of message matching.
@@ -167,6 +188,9 @@ func (s *Server) buildJobs(req *RunRequest) ([]runner.Job, error) {
 	insns := req.Insns
 	if insns == 0 {
 		insns = s.cfg.DefaultInsns
+	}
+	if err := checkTraceBudget(len(profiles), insns, req.FastForward); err != nil {
+		return nil, err
 	}
 	var jobs []runner.Job
 	for _, p := range profiles {

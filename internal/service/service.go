@@ -17,6 +17,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,6 +36,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/service/api"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Config sizes the daemon. The zero value selects the documented
@@ -192,13 +194,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Test seams: the integration tests substitute deterministic stand-ins
-// for the grid runner to exercise backpressure, cancellation and drain
-// without real simulations.
-var (
-	runnerRun    = runner.Run
-	attachTraces = runner.AttachTraces
-)
+// runnerRun is the test seam: the integration tests substitute a
+// deterministic stand-in for the grid runner to exercise backpressure,
+// cancellation and drain without real simulations.
+var runnerRun = runner.Run
 
 // handlePostRuns is the job intake: validate, admit, wait for a run
 // slot, execute, record, respond.
@@ -222,7 +221,11 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, api.Error{Error: me.Error(), ValidModes: me.valid})
 			return
 		}
-		writeError(w, http.StatusBadRequest, err.Error())
+		code := http.StatusBadRequest
+		if errors.Is(err, errOverBudget) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err.Error())
 		return
 	}
 	if len(jobs) > s.cfg.MaxCells {
@@ -322,15 +325,12 @@ func (s *Server) performRun(ctx context.Context, runID string, jobs []runner.Job
 	return status
 }
 
-// executeGrid attaches shared traces to the cells the cache cannot
-// already serve — a cache hit never needs a functional trace, so
-// capturing one for it would waste exactly the work the cache exists to
-// skip — then hands the grid to the runner with the server's cache
+// executeGrid hands the grid to the runner with the server's cache
 // attached. With a coordinator configured the cells dispatch to the
-// worker fleet through the runner's Execute seam instead (workers
-// capture their own traces), with one waiter per cell so the whole grid
-// can be in flight at once. runID/keys attach the journal and event
-// stream hooks; a caller with no run record passes "" and nil.
+// worker fleet through the runner's Execute seam instead, with one waiter
+// per cell so the whole grid can be in flight at once. runID/keys attach
+// the journal and event stream hooks; a caller with no run record passes
+// "" and nil.
 func (s *Server) executeGrid(ctx context.Context, jobs []runner.Job, runID string, keys []string) ([]runner.Outcome, error) {
 	opts := runner.Options{
 		Parallelism: s.cfg.Parallelism,
@@ -343,26 +343,6 @@ func (s *Server) executeGrid(ctx context.Context, jobs []runner.Job, runID strin
 	if s.cfg.Coordinator != nil {
 		opts.Execute = s.cfg.Coordinator.Execute
 		opts.Parallelism = len(jobs)
-		return runnerRun(ctx, jobs, opts)
-	}
-	missing := make([]int, 0, len(jobs))
-	for i := range jobs {
-		key, err := jobs[i].Fingerprint()
-		if err != nil || !s.cache.Contains(key) {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) > 0 {
-		tmp := make([]runner.Job, len(missing))
-		for k, i := range missing {
-			tmp[k] = jobs[i]
-		}
-		if err := attachTraces(tmp); err != nil {
-			return nil, err
-		}
-		for k, i := range missing {
-			jobs[i] = tmp[k]
-		}
 	}
 	return runnerRun(ctx, jobs, opts)
 }
@@ -444,6 +424,12 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		opts.Insns = n
+	}
+	// An empty bench list runs every profile.
+	profiles := cmp.Or(len(opts.Benchmarks), len(workload.SPEC2000()))
+	if err := checkTraceBudget(profiles, opts.Insns, 0); err != nil {
+		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+		return
 	}
 	// Validate the output format before burning simulation time on it.
 	switch format {

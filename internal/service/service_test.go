@@ -3,8 +3,10 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -147,15 +149,14 @@ type stubControl struct {
 	release chan struct{}
 }
 
-// stubRunner replaces the runner seams with a controllable fake so the
+// stubRunner replaces the runner seam with a controllable fake so the
 // backpressure, cancellation and drain paths can be exercised without
 // burning simulation time. Restored on test cleanup; tests using it must
 // not run in parallel.
 func stubRunner(t *testing.T) *stubControl {
 	t.Helper()
 	ctl := &stubControl{started: make(chan struct{}, 16), release: make(chan struct{})}
-	origRun, origAttach := runnerRun, attachTraces
-	attachTraces = func([]runner.Job) error { return nil }
+	origRun := runnerRun
 	runnerRun = func(ctx context.Context, jobs []runner.Job, _ runner.Options) ([]runner.Outcome, error) {
 		ctl.started <- struct{}{}
 		outs := make([]runner.Outcome, len(jobs))
@@ -175,7 +176,7 @@ func stubRunner(t *testing.T) *stubControl {
 			return outs, ctx.Err()
 		}
 	}
-	t.Cleanup(func() { runnerRun, attachTraces = origRun, origAttach })
+	t.Cleanup(func() { runnerRun = origRun })
 	return ctl
 }
 
@@ -414,6 +415,63 @@ func TestServiceValidation(t *testing.T) {
 	}
 	if code, _ := get(t, ts.URL+"/v1/experiments/config?format=bogus"); code != http.StatusBadRequest {
 		t.Errorf("bad experiment format: code %d, want 400", code)
+	}
+}
+
+// TestTraceBudgetArithmetic: the service defaults and the CI-sized
+// requests fit the trace budget; requests past it are refused, including
+// values whose sum or product would wrap a uint64.
+func TestTraceBudgetArithmetic(t *testing.T) {
+	for _, c := range []struct {
+		profiles    int
+		insns, ff   uint64
+		overBudget  bool
+		description string
+	}{
+		{12, sim.DefaultInsns, 0, false, "service default"},
+		{4, 500_000, 0, false, "CI smoke and fabric request"},
+		{2, 5_000, 0, false, "benchmark serve request"},
+		{1, maxTraceRecords, 0, false, "one profile at the limit"},
+		{2, 1_000_000_000_000, 1 << 40, true, "huge budget"},
+		{1, math.MaxUint64, 0, true, "insns near 2^64"},
+		{1, 1_000, math.MaxUint64, true, "fast_forward near 2^64"},
+		{2, 1 << 63, 1 << 63, true, "sum wraps to zero"},
+		{1 << 8, 1 << 56, 0, true, "product wraps to zero"},
+		{2, maxTraceRecords/2 + 1, 0, true, "just over the limit"},
+	} {
+		err := checkTraceBudget(c.profiles, c.insns, c.ff)
+		if got := errors.Is(err, errOverBudget); got != c.overBudget {
+			t.Errorf("%s: over budget = %v (err %v), want %v", c.description, got, err, c.overBudget)
+		}
+	}
+}
+
+// TestServiceTraceBudget: a request over the trace budget is refused
+// with 413 on both endpoints before any simulation starts.
+func TestServiceTraceBudget(t *testing.T) {
+	origRun := runnerRun
+	runnerRun = func(context.Context, []runner.Job, runner.Options) ([]runner.Outcome, error) {
+		t.Error("an over-budget request reached the runner")
+		return nil, context.Canceled
+	}
+	t.Cleanup(func() { runnerRun = origRun })
+	_, ts := newTestServer(t, Config{Workers: 1})
+
+	const near64 = "18446744073709551615"
+	for _, body := range []string{
+		`{"configs":["DIE"],"benchmarks":["gzip","bzip2"],"insns":1000000000000,"fast_forward":1099511627776}`,
+		`{"configs":["DIE"],"benchmarks":["gzip"],"insns":` + near64 + `}`,
+		`{"configs":["DIE"],"benchmarks":["gzip"],"insns":1000,"fast_forward":` + near64 + `}`,
+		`{"configs":["DIE"],"benchmarks":["gzip","bzip2"],"insns":9223372036854775808,"fast_forward":9223372036854775808}`,
+	} {
+		if code, _, _ := postRun(t, ts.URL, body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s: code %d, want 413", body, code)
+		}
+	}
+	for _, q := range []string{"insns=" + near64, "insns=9000000&bench=gzip,bzip2"} {
+		if code, body := get(t, ts.URL+"/v1/experiments/headline?"+q); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("GET experiment ?%s: code %d, want 413: %s", q, code, body)
+		}
 	}
 }
 

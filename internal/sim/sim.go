@@ -58,8 +58,8 @@ type Options struct {
 	// program: the run executes the trace's own program and both the
 	// dispatch front and the verification oracle draw values from the
 	// recorded stream, which is bit-identical to direct interpretation by
-	// construction. The grid harness captures one trace per benchmark and
-	// shares it — read-only — across every configuration cell.
+	// construction. runner.Run captures one trace for each workload that
+	// two or more of its cells run and shares it read-only among them.
 	Trace *fsim.Trace
 }
 
@@ -202,9 +202,9 @@ const TraceSlack = 4096
 
 // CaptureTrace functionally executes the exact program RunContext would
 // run for (p, opts) and records its retired stream. The returned trace is
-// immutable and safe to share: a grid harness captures one trace per
-// benchmark and sets it as Options.Trace on every configuration cell, so
-// the workload is generated and interpreted once instead of once per cell.
+// immutable and safe to share: set as Options.Trace on every cell that
+// runs the workload, it lets the workload be generated and interpreted
+// once instead of once per cell.
 func CaptureTrace(p workload.Profile, opts Options) (*fsim.Trace, error) {
 	if opts.Insns == 0 {
 		opts.Insns = DefaultInsns
