@@ -47,7 +47,7 @@ func main() {
 	workers := flag.Int("workers", 2, "concurrent runs")
 	queue := flag.Int("queue", 0, "admitted requests bound, running plus waiting (default workers+8)")
 	maxCells := flag.Int("max-cells", 4096, "per-request grid cell budget")
-	cacheEntries := flag.Int("cache-entries", 1024, "result cache bound (cells)")
+	cacheEntries := flag.Int("cache-entries", 8192, "result cache bound in cells, LRU-evicted (about 650 B each)")
 	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "graceful shutdown bound after SIGTERM")
 	insns := cliutil.Insns(flag.CommandLine, sim.DefaultInsns)

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
@@ -33,7 +34,9 @@ type CoordinatorConfig struct {
 	// (default LeaseTTL/4).
 	HeartbeatEvery time.Duration
 	// SweepEvery is the expiry scan cadence of Start's background loop
-	// (default LeaseTTL/4). Tests bypass it by calling Tick directly.
+	// (default LeaseTTL/4). Tests bypass it by calling Tick directly. It
+	// is also how long LeaseWait holds an idle worker's call, capped at
+	// HeartbeatEvery.
 	SweepEvery time.Duration
 	// DeadAfter is the missed-heartbeat budget: a worker silent for
 	// DeadAfter*HeartbeatEvery is marked dead and its leases expire
@@ -76,7 +79,6 @@ type cellState int
 const (
 	cellPending cellState = iota
 	cellLeased
-	cellDone
 )
 
 // outcome settles one Execute call.
@@ -99,10 +101,6 @@ type cell struct {
 	state     cellState
 	leaseID   string
 	done      chan outcome // cap 1; settled exactly once
-	// resultJSON is the canonical serialization of the first accepted
-	// result, against which any late duplicate completion is asserted
-	// bit-identical (the PR-3 invariant, applied to the fabric).
-	resultJSON []byte
 }
 
 type lease struct {
@@ -145,10 +143,13 @@ type Metrics struct {
 type Coordinator struct {
 	cfg CoordinatorConfig
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	cells    map[uint64]*cell
-	pending  []uint64 // cell IDs, FIFO; done/leased entries are skipped lazily
+	mu    sync.Mutex
+	rng   *rand.Rand
+	cells map[uint64]*cell // unsettled cells
+	// settled keeps, per settled cell, only the SHA-256 of its canonical
+	// completion: a late duplicate is asserted bit-identical against it.
+	settled  map[uint64][sha256.Size]byte
+	pending  []uint64 // cell IDs, FIFO; settled/leased entries are skipped lazily
 	leases   map[string]*lease
 	workers  map[string]*workerState
 	live     int // workers not marked dead
@@ -156,6 +157,9 @@ type Coordinator struct {
 	nextCell uint64
 	nextLse  uint64
 	met      Metrics
+	// wake is closed and replaced whenever a cell is enqueued, releasing
+	// every lease call LeaseWait holds.
+	wake chan struct{}
 }
 
 // NewCoordinator builds a Coordinator, applying defaults for zero
@@ -193,9 +197,11 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		cfg:     cfg,
 		rng:     rand.New(rand.NewPCG(seed, 0xfab51c)),
 		cells:   make(map[uint64]*cell),
+		settled: make(map[uint64][sha256.Size]byte),
 		leases:  make(map[string]*lease),
 		workers: make(map[string]*workerState),
 		ring:    newRing(nil),
+		wake:    make(chan struct{}),
 	}
 }
 
@@ -294,6 +300,8 @@ func (c *Coordinator) enqueue(j runner.Job) (*cell, bool) {
 	cl.wire.ID = cl.id
 	c.cells[cl.id] = cl
 	c.pending = append(c.pending, cl.id)
+	close(c.wake)
+	c.wake = make(chan struct{})
 	return cl, true
 }
 
@@ -401,6 +409,36 @@ func (c *Coordinator) Lease(req api.LeaseRequest) api.LeaseResponse {
 	return resp
 }
 
+// LeaseWait is Lease for an idle worker's call: when nothing is
+// grantable it holds the call until a cell is enqueued, the hold elapses
+// (SweepEvery, capped at HeartbeatEvery) or ctx ends, so a fresh cell
+// reaches a worker at once instead of at its next poll. Every reply
+// carries PollMillis 0: the worker polls again at once. When the hold
+// elapses Lease runs once more, refreshing the worker's liveness, so a
+// worker parked here is never marked dead. A call that ctx releases
+// returns without a grant.
+func (c *Coordinator) LeaseWait(ctx context.Context, req api.LeaseRequest) api.LeaseResponse {
+	hold := time.NewTimer(min(c.cfg.SweepEvery, c.cfg.HeartbeatEvery))
+	defer hold.Stop()
+	for elapsed := false; ; {
+		c.mu.Lock()
+		wake := c.wake // taken before Lease, so no enqueue after it is missed
+		c.mu.Unlock()
+		resp := c.Lease(req)
+		resp.PollMillis = 0
+		if len(resp.Leases) > 0 || elapsed {
+			return resp
+		}
+		select {
+		case <-wake:
+		case <-hold.C:
+			elapsed = true
+		case <-ctx.Done():
+			return resp
+		}
+	}
+}
+
 // ringKey is the cell's consistent-hash key: the fingerprint when the
 // cell is cacheable (so cache affinity holds), otherwise a stable
 // fallback from its identity.
@@ -439,10 +477,11 @@ func (c *Coordinator) Heartbeat(req api.HeartbeatRequest) api.HeartbeatResponse 
 
 // Complete settles a batch of finished cells. A completion whose lease
 // expired is still accepted if the cell has not been settled elsewhere
-// (a retry avoided); one for an already-settled cell is asserted
-// bit-identical to the accepted result and discarded — a retried cell
-// that differed from its first try would be a determinism bug, and it is
-// counted, never silently dropped.
+// (a retry avoided). A settled cell leaves the coordinator, keeping only
+// the digest of its canonical completion: a later duplicate is compared
+// against it and discarded — a retried cell that differed from its first
+// try would be a determinism bug, and it is counted, never silently
+// dropped.
 func (c *Coordinator) Complete(req api.CompleteRequest) api.CompleteResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -455,15 +494,15 @@ func (c *Coordinator) Complete(req api.CompleteRequest) api.CompleteResponse {
 			cl = cand
 		}
 		if cl == nil {
-			c.met.IgnoredCompletions++
-			continue
-		}
-		if cl.state == cellDone {
-			c.met.DuplicateCompletions++
-			if !bytesEqual(cl.resultJSON, canonicalResult(comp)) {
-				c.met.RetryMismatches++
+			if sum, ok := c.settled[comp.CellID]; ok {
+				c.met.DuplicateCompletions++
+				if sum != completionDigest(comp) {
+					c.met.RetryMismatches++
+				}
+				resp.Duplicates++
+			} else {
+				c.met.IgnoredCompletions++
 			}
-			resp.Duplicates++
 			continue
 		}
 		if cl.leaseID != "" && cl.leaseID != comp.LeaseID {
@@ -476,8 +515,8 @@ func (c *Coordinator) Complete(req api.CompleteRequest) api.CompleteResponse {
 			c.met.LateCompletions++
 		}
 		delete(c.leases, comp.LeaseID)
-		cl.state, cl.leaseID = cellDone, ""
-		cl.resultJSON = canonicalResult(comp)
+		delete(c.cells, cl.id)
+		c.settled[cl.id] = completionDigest(comp)
 		out := outcome{cacheHit: comp.CacheHit}
 		if comp.Error != "" {
 			out.err = &RemoteCellError{Worker: req.Worker, Msg: comp.Error}
@@ -492,29 +531,17 @@ func (c *Coordinator) Complete(req api.CompleteRequest) api.CompleteResponse {
 	return resp
 }
 
-// canonicalResult serializes a completion's payload for the
+// completionDigest hashes a completion's canonical serialization, for the
 // bit-identity assertion between a first-try and a retried completion.
-func canonicalResult(comp api.CellCompletion) []byte {
+func completionDigest(comp api.CellCompletion) [sha256.Size]byte {
 	b, err := json.Marshal(struct {
 		Result *sim.Result `json:"result,omitempty"`
 		Error  string      `json:"error,omitempty"`
 	}{comp.Result, comp.Error})
 	if err != nil {
-		return nil
+		b = nil // unencodable payloads all digest as empty, and so compare equal
 	}
-	return b
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return sha256.Sum256(b)
 }
 
 // Tick runs one expiry sweep: workers past their missed-heartbeat budget
@@ -572,7 +599,6 @@ func (c *Coordinator) Tick() {
 			// Degrade: hand the cell back to its Execute for in-process
 			// execution instead of queueing on a fleet that keeps losing
 			// it.
-			cl.state = cellDone
 			delete(c.cells, cl.id)
 			cl.done <- outcome{local: true}
 			continue

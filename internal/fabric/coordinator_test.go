@@ -249,6 +249,14 @@ func TestDuplicateCompletionBitIdentity(t *testing.T) {
 	c.Complete(api.CompleteRequest{Worker: "w1", Cells: []api.CellCompletion{comp}})
 	<-done
 
+	// The settled cell leaves the coordinator; only its digest stays.
+	c.mu.Lock()
+	tracked, digests := len(c.cells), len(c.settled)
+	c.mu.Unlock()
+	if tracked != 0 || digests != 1 {
+		t.Fatalf("after settling: %d cells tracked and %d digests kept, want 0 and 1", tracked, digests)
+	}
+
 	// Identical duplicate: deduplicated, no mismatch.
 	resp := c.Complete(api.CompleteRequest{Worker: "w2", Cells: []api.CellCompletion{comp}})
 	if resp.Duplicates != 1 || resp.Accepted != 0 {
@@ -358,6 +366,97 @@ func TestExecuteCancellation(t *testing.T) {
 	}
 	if m := c.Metrics(); m.IgnoredCompletions != 1 {
 		t.Errorf("IgnoredCompletions = %d, want 1", m.IgnoredCompletions)
+	}
+}
+
+// TestLeaseWaitGrantsEnqueuedCell: an idle worker's call held at the
+// coordinator takes a cell as soon as it is enqueued, not at the end of
+// the hold (2.5 s at the 10 s TTL).
+func TestLeaseWaitGrantsEnqueuedCell(t *testing.T) {
+	c := NewCoordinator(testConfig(t))
+	got := make(chan api.LeaseResponse, 1)
+	go func() { got <- c.LeaseWait(context.Background(), api.LeaseRequest{Worker: "w1"}) }()
+	// The call registers the worker before it parks; an enqueue from then
+	// on must release it.
+	waitFor(t, func() bool { return c.Metrics().WorkersLive == 1 })
+
+	start := time.Now()
+	done := startExecute(c, testJob(t, "SIE", 5000))
+	var resp api.LeaseResponse
+	select {
+	case resp = <-got:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the enqueue did not release the held lease call")
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("cell granted %v after its enqueue, want within 100ms", d)
+	}
+	if len(resp.Leases) != 1 || resp.PollMillis != 0 {
+		t.Fatalf("held reply %+v, want one lease and PollMillis 0", resp)
+	}
+	l := resp.Leases[0]
+	c.Complete(api.CompleteRequest{Worker: "w1", Cells: []api.CellCompletion{
+		{LeaseID: l.ID, CellID: l.Cell.ID, Result: &sim.Result{}},
+	}})
+	if out := <-done; out.Err != nil {
+		t.Fatalf("Execute returned error: %v", out.Err)
+	}
+}
+
+// TestLeaseWaitHoldElapses: with nothing to grant, a held call returns
+// empty with PollMillis 0 once the hold — SweepEvery, capped at
+// HeartbeatEvery — elapses, while a direct Lease still names the poll
+// interval.
+func TestLeaseWaitHoldElapses(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		sweep, heartbeat time.Duration
+		hold             time.Duration
+		pollMillis       int64
+	}{
+		{"sweep", 50 * time.Millisecond, 0, 50 * time.Millisecond, 50},
+		{"capped at heartbeat", 5 * time.Second, 50 * time.Millisecond, 50 * time.Millisecond, 5000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t)
+			cfg.SweepEvery, cfg.HeartbeatEvery = tc.sweep, tc.heartbeat
+			c := NewCoordinator(cfg)
+			start := time.Now()
+			resp := c.LeaseWait(context.Background(), api.LeaseRequest{Worker: "w1"})
+			if d := time.Since(start); d < tc.hold || d > tc.hold+time.Second {
+				t.Errorf("held call returned after %v, want after the %v hold", d, tc.hold)
+			}
+			if len(resp.Leases) != 0 || resp.PollMillis != 0 || resp.TTLMillis != 10000 {
+				t.Errorf("held reply %+v, want empty, PollMillis 0, TTL 10000", resp)
+			}
+			if r := c.Lease(api.LeaseRequest{Worker: "w1"}); r.PollMillis != tc.pollMillis {
+				t.Errorf("direct Lease PollMillis %d, want %d", r.PollMillis, tc.pollMillis)
+			}
+		})
+	}
+}
+
+// TestLeaseWaitEndsWithContext: a held call returns as soon as its
+// context ends, granting nothing.
+func TestLeaseWaitEndsWithContext(t *testing.T) {
+	c := NewCoordinator(testConfig(t))
+	ctx, cancel := context.WithCancel(context.Background())
+	got := make(chan api.LeaseResponse, 1)
+	go func() { got <- c.LeaseWait(ctx, api.LeaseRequest{Worker: "w1"}) }()
+	waitFor(t, func() bool { return c.Metrics().WorkersLive == 1 })
+
+	start := time.Now()
+	cancel()
+	select {
+	case resp := <-got:
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("held call returned %v after its context ended, want within 100ms", d)
+		}
+		if len(resp.Leases) != 0 {
+			t.Errorf("a call whose context ended was granted %+v", resp.Leases)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("held call outlived its context")
 	}
 }
 

@@ -119,7 +119,9 @@ func (cl *Client) Complete(ctx context.Context, req api.CompleteRequest) (api.Co
 
 // Worker is the pull loop a worker daemon runs against a coordinator:
 // lease a batch of cells, heartbeat while executing them, report the
-// completions, repeat. Transient coordinator failures back off with the
+// completions, repeat. An idle worker's lease call is held at the
+// coordinator until there is work, so it re-polls as soon as a held call
+// returns empty. Transient coordinator failures back off with the
 // shared jittered schedule (honoring an explicit Retry-After when the
 // server sends one); a worker that cannot report a completion just stops
 // heartbeating it, and the coordinator's lease expiry re-queues the work
@@ -177,11 +179,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		failures = 0
 		if len(resp.Leases) == 0 {
-			idle := time.Duration(resp.PollMillis) * time.Millisecond
-			if idle <= 0 {
-				idle = pol.Delay(0, rng)
-			}
-			if !sleepCtx(ctx, idle) {
+			// A held reply (PollMillis 0) has already waited at the
+			// coordinator, so the next poll goes out at once.
+			if !sleepCtx(ctx, time.Duration(resp.PollMillis)*time.Millisecond) {
 				return ctx.Err()
 			}
 			continue

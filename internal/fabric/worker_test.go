@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,6 +234,52 @@ func TestClientStatusError(t *testing.T) {
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusBadRequest {
 		t.Fatalf("400 surfaced as %v, want *StatusError", err)
+	}
+}
+
+// TestWorkerPollCadence: after an empty held reply (PollMillis 0) the
+// worker polls again at once; after an empty reply naming a wait, it
+// waits that long first.
+func TestWorkerPollCadence(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		calls []time.Time
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		calls = append(calls, time.Now())
+		n := len(calls)
+		mu.Unlock()
+		poll := int64(60_000) // from the third reply on, a wait that outlasts the test
+		switch n {
+		case 1:
+			poll = 0 // held
+		case 2:
+			poll = 300
+		}
+		json.NewEncoder(w).Encode(api.LeaseResponse{PollMillis: poll})
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	w := &Worker{Client: &Client{BaseURL: srv.URL}, ID: "w1"}
+	go func() { done <- w.Run(ctx) }()
+	waitFor(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(calls) >= 3
+	})
+	cancel()
+	<-done
+
+	mu.Lock()
+	defer mu.Unlock()
+	if gap := calls[1].Sub(calls[0]); gap > 100*time.Millisecond {
+		t.Errorf("worker waited %v after a held reply, want an immediate re-poll", gap)
+	}
+	if gap := calls[2].Sub(calls[1]); gap < 300*time.Millisecond {
+		t.Errorf("worker re-polled %v after a 300 ms PollMillis reply", gap)
 	}
 }
 

@@ -180,8 +180,9 @@ type LeaseResponse struct {
 	// HeartbeatMillis is the renewal cadence the worker must hold while
 	// it owns leases.
 	HeartbeatMillis int64 `json:"heartbeat_ms"`
-	// PollMillis is the suggested wait before the next lease request when
-	// no cells were granted.
+	// PollMillis is the wait before the next lease request when no cells
+	// were granted. 0 means the call was held at the coordinator until
+	// the hold elapsed: poll again now.
 	PollMillis int64 `json:"poll_ms"`
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"reflect"
 	"sync"
 
 	"repro/internal/sim"
@@ -16,7 +17,9 @@ import (
 // optimization: a hit is bit-identical to re-running the cell, because
 // simulation is deterministic in the fingerprinted inputs.
 //
-// It implements runner.Cache and is safe for concurrent use.
+// It implements runner.Cache and is safe for concurrent use. A stored
+// result is never modified: Put replaces it, and run records may share
+// it (shared).
 type resultCache struct {
 	mu    sync.Mutex
 	max   int
@@ -28,7 +31,7 @@ type resultCache struct {
 
 type cacheItem struct {
 	key string
-	res sim.Result
+	res *sim.Result
 }
 
 // newResultCache builds a cache bounded to max entries (min 1).
@@ -54,7 +57,21 @@ func (c *resultCache) Get(key string) (sim.Result, bool) {
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheItem).res, true
+	return *el.Value.(*cacheItem).res, true
+}
+
+// shared returns the stored result for key when it equals r, so a run
+// record holds the cached result instead of another copy of it, and a
+// copy of r otherwise. It counts neither a hit nor a miss.
+func (c *resultCache) shared(key string, r sim.Result) *sim.Result {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		if p := el.Value.(*cacheItem).res; reflect.DeepEqual(*p, r) {
+			return p
+		}
+	}
+	return &r
 }
 
 // Put implements runner.Cache, evicting the least recently used entry
@@ -63,12 +80,12 @@ func (c *resultCache) Put(key string, res sim.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheItem).res = res
+		el.Value.(*cacheItem).res = &res
 		c.ll.MoveToFront(el)
 		return
 	}
 	c.inserts++
-	c.items[key] = c.ll.PushFront(&cacheItem{key: key, res: res})
+	c.items[key] = c.ll.PushFront(&cacheItem{key: key, res: &res})
 	for c.ll.Len() > c.max {
 		last := c.ll.Back()
 		c.ll.Remove(last)

@@ -45,13 +45,14 @@ func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// handleLease is POST /v1/lease: workers pull batches of cells. A
-// draining coordinator stops granting (the in-flight cells still
+// handleLease is POST /v1/lease: workers pull batches of cells. An idle
+// worker's call is held until a cell is enqueued or the hold elapses
+// (Coordinator.LeaseWait); a disconnect or BeginDrain releases it early.
+// A draining coordinator stops granting (the in-flight cells still
 // complete through /v1/complete) and tells workers when to come back.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", s.retryAfter(5*time.Second))
-		writeError(w, http.StatusServiceUnavailable, "coordinator is draining; not granting leases")
+	if s.draining() {
+		s.refuseLease(w)
 		return
 	}
 	var req api.LeaseRequest
@@ -62,7 +63,22 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "worker identity required")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.cfg.Coordinator.Lease(req))
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	stop := context.AfterFunc(s.drain, cancel)
+	defer stop()
+	resp := s.cfg.Coordinator.LeaseWait(ctx, req)
+	if len(resp.Leases) == 0 && s.draining() {
+		s.refuseLease(w)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// refuseLease answers a lease call during a drain.
+func (s *Server) refuseLease(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", s.retryAfter(5*time.Second))
+	writeError(w, http.StatusServiceUnavailable, "coordinator is draining; not granting leases")
 }
 
 // handleHeartbeat is POST /v1/heartbeat. Heartbeats are accepted even

@@ -394,9 +394,10 @@ func TestRetryAfterIsJittered(t *testing.T) {
 
 // TestLeaseEndpointsOverHTTP drives the coordinator's wire surface
 // through the real mux with the fabric's own client: register and lease,
-// heartbeat, and the draining refusal with its Retry-After.
+// heartbeat, and the draining refusal with its Retry-After. The short TTL
+// keeps the idle first lease call's hold (a quarter of it) short.
 func TestLeaseEndpointsOverHTTP(t *testing.T) {
-	coord := fabric.NewCoordinator(fabric.CoordinatorConfig{})
+	coord := fabric.NewCoordinator(fabric.CoordinatorConfig{LeaseTTL: 200 * time.Millisecond})
 	s, ts := newTestServer(t, Config{Coordinator: coord})
 	cl := &fabric.Client{BaseURL: ts.URL}
 	ctx := context.Background()
@@ -429,6 +430,74 @@ func TestLeaseEndpointsOverHTTP(t *testing.T) {
 	// Heartbeats keep working through the drain, so in-flight cells land.
 	if _, err := cl.Heartbeat(ctx, api.HeartbeatRequest{Worker: "w1"}); err != nil {
 		t.Errorf("heartbeat refused during drain: %v", err)
+	}
+}
+
+// TestDrainReleasesHeldLease: BeginDrain releases a lease call held at
+// the coordinator at once, answering it as a lease arriving during the
+// drain is answered: 503 with Retry-After.
+func TestDrainReleasesHeldLease(t *testing.T) {
+	coord := fabric.NewCoordinator(fabric.CoordinatorConfig{LeaseTTL: 10 * time.Second}) // a 2.5 s hold
+	s, ts := newTestServer(t, Config{Coordinator: coord})
+	cl := &fabric.Client{BaseURL: ts.URL}
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := cl.Lease(context.Background(), api.LeaseRequest{Worker: "w1"})
+		errCh <- err
+	}()
+	// The call registers the worker before it parks.
+	waitForCond(t, func() bool { return coord.Metrics().WorkersLive == 1 })
+
+	start := time.Now()
+	s.BeginDrain()
+	select {
+	case err := <-errCh:
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("held lease released %v after BeginDrain, want within 100ms", d)
+		}
+		var ra *fabric.RetryAfterError
+		if !errors.As(err, &ra) || ra.Status != http.StatusServiceUnavailable {
+			t.Fatalf("drained held lease surfaced as %v, want 503 with Retry-After", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("BeginDrain did not release the held lease call")
+	}
+}
+
+// TestHeldWorkerStaysLive: a real worker parked in held lease calls, with
+// the expiry sweep running, is never marked dead, and it re-polls once per
+// hold rather than spinning.
+func TestHeldWorkerStaysLive(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	// 50 ms holds; a worker silent for 150 ms is marked dead.
+	coord := fabric.NewCoordinator(fabric.CoordinatorConfig{LeaseTTL: 200 * time.Millisecond})
+	coord.Start(ctx)
+	s, ts := newTestServer(t, Config{Coordinator: coord})
+	worker := &fabric.Worker{
+		Client: &fabric.Client{BaseURL: ts.URL},
+		ID:     "w1",
+		Exec:   New(Config{}).RunJobs,
+	}
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- worker.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	const holds = 10
+	replies := func() int {
+		s.met.mu.Lock()
+		defer s.met.mu.Unlock()
+		return int(s.met.requests[routeCode{"POST /v1/lease", http.StatusOK}])
+	}
+	waitForCond(t, func() bool { return replies() >= holds })
+	if d := time.Since(start); d < (holds-1)*50*time.Millisecond {
+		t.Errorf("%d lease replies in %v: the calls were not held", holds, d)
+	}
+	if m := coord.Metrics(); m.DeadWorkers != 0 || m.WorkersLive != 1 {
+		t.Errorf("held worker lost its liveness: %+v", m)
 	}
 }
 

@@ -53,8 +53,10 @@ type Config struct {
 	// more (configs × benchmarks) cells is rejected with 413
 	// (default 4096).
 	MaxCells int
-	// CacheEntries bounds the content-addressed result cache
-	// (default 1024 cells, LRU-evicted).
+	// CacheEntries bounds the content-addressed result cache (default
+	// 8192 cells, LRU-evicted, about 650 B each). One closed-loop client
+	// of a coordinator and one worker misses about 80 cells/s at 5k
+	// instructions per cell, so the default holds about 100 s of misses.
 	CacheEntries int
 	// Parallelism is the grid runner's per-run worker count
 	// (default GOMAXPROCS).
@@ -98,7 +100,9 @@ type Server struct {
 	admit chan struct{} // queue-depth tokens (held request-long)
 	slots chan struct{} // run slots (held while simulating)
 
-	draining atomic.Bool
+	// drain ends when BeginDrain is called; held lease calls end with it.
+	drain      context.Context
+	beginDrain context.CancelFunc
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // jitter for Retry-After values
@@ -130,7 +134,7 @@ func New(cfg Config) *Server {
 		cfg.MaxCells = 4096
 	}
 	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 1024
+		cfg.CacheEntries = 8192
 	}
 	if cfg.DefaultInsns == 0 {
 		cfg.DefaultInsns = sim.DefaultInsns
@@ -139,23 +143,30 @@ func New(cfg Config) *Server {
 	if seed == 0 {
 		seed = 1
 	}
+	drain, beginDrain := context.WithCancel(context.Background())
 	return &Server{
-		cfg:     cfg,
-		cache:   newResultCache(cfg.CacheEntries),
-		met:     newMetrics(),
-		admit:   make(chan struct{}, cfg.QueueDepth),
-		slots:   make(chan struct{}, cfg.Workers),
-		runs:    make(map[string]*Run),
-		rng:     rand.New(rand.NewPCG(seed, 0x5e21ed)),
-		streams: make(map[string]*stream),
+		cfg:        cfg,
+		cache:      newResultCache(cfg.CacheEntries),
+		met:        newMetrics(),
+		admit:      make(chan struct{}, cfg.QueueDepth),
+		slots:      make(chan struct{}, cfg.Workers),
+		drain:      drain,
+		beginDrain: beginDrain,
+		runs:       make(map[string]*Run),
+		rng:        rand.New(rand.NewPCG(seed, 0x5e21ed)),
+		streams:    make(map[string]*stream),
 	}
 }
 
-// BeginDrain switches the server to draining: new runs are refused with
-// 503 and /readyz fails, while already-admitted work runs to completion.
-// Pair with http.Server.Shutdown, which waits for in-flight requests
-// without cancelling their contexts.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+// BeginDrain switches the server to draining: new runs and leases are
+// refused with 503, /readyz fails, and held lease calls are released,
+// while already-admitted work runs to completion. Pair with
+// http.Server.Shutdown, which waits for in-flight requests without
+// cancelling their contexts.
+func (s *Server) BeginDrain() { s.beginDrain() }
+
+// draining reports whether BeginDrain has been called.
+func (s *Server) draining() bool { return s.drain.Err() != nil }
 
 // Handler returns the daemon's route table.
 func (s *Server) Handler() http.Handler {
@@ -178,7 +189,7 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if s.draining.Load() {
+		if s.draining() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
@@ -202,7 +213,7 @@ var runnerRun = runner.Run
 // handlePostRuns is the job intake: validate, admit, wait for a run
 // slot, execute, record, respond.
 func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	if s.draining() {
 		w.Header().Set("Retry-After", s.retryAfter(5*time.Second))
 		writeError(w, http.StatusServiceUnavailable, "server is draining; not accepting new runs")
 		return
@@ -299,8 +310,7 @@ func (s *Server) performRun(ctx context.Context, runID string, jobs []runner.Job
 		if o.Err != nil {
 			cr.Error = o.Err.Error()
 		} else {
-			res := o.Result
-			cr.Result = &res
+			cr.Result = s.cache.shared(keys[i], o.Result)
 			if o.CacheHit {
 				hitCells++
 			} else {
@@ -398,7 +408,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown experiment; see GET /v1/experiments")
 		return
 	}
-	if s.draining.Load() {
+	if s.draining() {
 		w.Header().Set("Retry-After", s.retryAfter(5*time.Second))
 		writeError(w, http.StatusServiceUnavailable, "server is draining; not accepting new runs")
 		return

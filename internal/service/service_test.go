@@ -184,9 +184,10 @@ const smallRun = `{"configs":["DIE-IRB"],"benchmarks":["gzip"],"insns":2000}`
 
 // TestServiceCacheHitOnRepeat is the end-to-end memoization check: the
 // same job posted twice simulates once, the repeat is served from the
-// result cache bit-identically, and the /metrics counters move to match.
+// result cache bit-identically, both run records hold the cached result
+// itself rather than copies, and the /metrics counters move to match.
 func TestServiceCacheHitOnRepeat(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 
 	code, first, _ := postRun(t, ts.URL, smallRun)
 	if code != http.StatusOK {
@@ -214,6 +215,11 @@ func TestServiceCacheHitOnRepeat(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Results[0].Result, second.Results[0].Result) {
 		t.Error("cached result differs from the simulated one")
+	}
+	rec1, _ := s.snapshotRun(first.ID)
+	rec2, _ := s.snapshotRun(second.ID)
+	if rec1.Results[0].Result != rec2.Results[0].Result {
+		t.Error("the two run records hold separate copies of one cached result")
 	}
 
 	// The observability surface must reflect what just happened.
