@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -80,14 +82,18 @@ func TestScratchPoolReuse(t *testing.T) {
 	if arena == 0 {
 		t.Fatal("run left no recycled uops in the free list")
 	}
+	// sync.Pool keeps a released item on the releasing goroutine's P and
+	// drops it at the next GC, so a collection or a move to another P
+	// between Release and New would lose the scratch. One P and no
+	// collector make the handoff deterministic.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	c.Release()
 	c2, err := New(quicken(BaseDIE()), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Release()
-	// The pool is per-P best-effort, but in a single-goroutine test the
-	// scratch released above is the one Get returns.
 	if len(c2.freeUops) == 0 {
 		t.Error("second core did not inherit the pooled uop arena")
 	}

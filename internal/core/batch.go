@@ -3,15 +3,17 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/irb"
 )
 
 // BatchableInjector is the capability a fault injector needs to ride in a
 // batch lane: beyond corrupting values it must expose how many faults it
-// has applied (the batch's divergence detector) and be restorable to its
+// has applied (the batch's divergence detector), be restorable to its
 // freshly-constructed state (so a diverged lane can re-run scalar and
-// reproduce the exact campaign a fresh run would).
+// reproduce the exact campaign a fresh run would), and say how far ahead
+// it is quiet (so the batch need not offer it every opportunity).
 type BatchableInjector interface {
 	FaultInjector
 	// InjectedCount reports the number of faults applied so far. It must
@@ -21,7 +23,38 @@ type BatchableInjector interface {
 	// Reset restores the injector to its freshly-constructed state:
 	// reseeded PRNG, cleared strike bookkeeping, zero injected count.
 	Reset()
+	// QuietFU advances the injector past up to n upcoming FUResult
+	// opportunities at which it would neither change a value nor fire,
+	// whatever their arguments, leaving the state that many FUResult
+	// calls would leave, and returns how many it passed. It stops before
+	// an opportunity at which the injector may fire, so fewer than n
+	// means the next one must be offered for real; 0 is always a correct
+	// answer. Opportunities of one kind must not affect the injector's
+	// decisions at another kind: the batch counts and skips each kind on
+	// its own.
+	QuietFU(n uint64) uint64
+	// QuietOperand is QuietFU for Operand opportunities.
+	QuietOperand(n uint64) uint64
+	// QuietIRBInsert is QuietFU for AfterIRBInsert opportunities.
+	QuietIRBInsert(n uint64) uint64
 }
+
+// Injection opportunity kinds, the index of BatchSim's per-kind schedule.
+const (
+	oppFU = iota
+	oppOperand
+	oppIRBInsert
+	oppKinds
+)
+
+// quietWindow is how many opportunities of one kind a lane is advanced
+// past at once when it is armed: large enough that a quiet lane is probed
+// for real once in tens of thousands of opportunities, small enough that
+// the scan a lane draws ahead past the end of a run stays short.
+const quietWindow = 1 << 16
+
+// notDue marks a lane that is never probed again: fault-free or evicted.
+const notDue = math.MaxUint64
 
 // ErrBatchDrained is the error a batch leader aborts with when every lane
 // has diverged and no fault-free lane needs the full run: finishing the
@@ -36,23 +69,34 @@ var ErrBatchDrained = errors.New("core: every batch lane diverged")
 // scoreboard, IRB occupancy, uop arena, event heap, per-stream commit
 // state) collapses into one shared copy stepped once. What remains
 // per-lane is laid out struct-of-arrays below: the injector, its last
-// observed fire count, the diverged flag and the strike point.
+// observed fire count, the diverged flag, the strike point and, per
+// opportunity kind, the next opportunity at which it must be probed.
 //
-// BatchSim installs itself as the leader core's FaultInjector and fans
-// every injection opportunity out to each active lane's injector, passing
+// BatchSim installs itself as the leader core's FaultInjector and passes
 // the leader's clean values through unchanged. Until a lane's injector
 // first fires, the lane's hypothetical scalar run is bit-identical to the
 // leader's — the injector returns every value untouched, so it steers
-// nothing — and therefore the probe call sequence the lane's injector sees
-// here is exactly the call sequence its own scalar run would produce. A
-// lane whose injector never fires ends the run with scalar-identical
-// injector state, and the leader's results and statistics are its results
-// and statistics, bit for bit. A lane whose injector does fire (a changed
-// return value or a bumped InjectedCount) has just diverged from the
-// shared trajectory; it is evicted from the batch on the spot and re-run
-// scalar by the caller, its injector Reset first. Eviction is how
-// per-lane early-exit works: a diverging lane retires from the batch
-// without stalling its siblings.
+// nothing — and therefore the calls the lane's injector would see in its
+// own scalar run are the opportunities the leader meets here. The batch
+// does not make every one of those calls. It counts the opportunities of
+// each kind (FU result, operand capture, IRB insert) and keeps, per lane
+// and kind, the index of the next opportunity that is due: the lane's
+// Quiet call has already advanced its injector past the ones before it,
+// leaving exactly the state those calls would have left. An opportunity
+// before the earliest due over all lanes costs one increment and one
+// compare; at a due one, only the due lanes are probed for real, and a
+// lane that does not fire there is re-armed by another Quiet call.
+//
+// A lane whose injector fires (a changed return value or a bumped
+// InjectedCount) has just diverged from the shared trajectory; it is
+// evicted from the batch on the spot and re-run scalar by the caller,
+// its injector Reset first. Eviction is how per-lane early-exit works: a
+// diverging lane retires from the batch without stalling its siblings. A
+// lane whose injector never fires is served the leader's results and
+// statistics, bit for bit. Its injector has fired nothing, but it may
+// have drawn up to a quiet window past the run's last opportunity, so
+// unlike a scalar run's injector it must be Reset before it steers
+// another run (the runner resets before every attempt).
 //
 // The IRB-array site needs one extra guard: lane injectors must not
 // corrupt the leader's real reuse buffer, so AfterIRBInsert probes run
@@ -71,16 +115,25 @@ type BatchSim struct {
 	diverged []bool
 	struck   []uint64 // leader seq at divergence (0: IRB array or wrong path)
 
+	// The due-opportunity schedule, per opportunity kind: seen counts the
+	// opportunities offered so far, due[k][i] is the index of the next
+	// one at which lane i is probed for real (notDue once the lane is
+	// fault-free or evicted), and next[k] is the least due[k] over all
+	// lanes.
+	seen [oppKinds]uint64
+	due  [oppKinds][]uint64
+	next [oppKinds]uint64
+
 	active    int // injector lanes not yet diverged
 	faultFree int // lanes with no injector; they keep the leader alive
 }
 
 // NewBatchSim builds a batch over the given core, one lane per injector
-// (nil entries are fault-free lanes), resets every injector and installs
-// the batch as the core's fault injector. The injectors must be distinct
-// objects — one injector in two lanes would be probed twice per
-// opportunity and observe a call sequence no scalar run produces. Call
-// before Core.Run; the core must not carry an injector of its own.
+// (nil entries are fault-free lanes), resets and arms every injector and
+// installs the batch as the core's fault injector. The injectors must be
+// distinct objects — one injector in two lanes would be advanced twice
+// per opportunity and observe a call sequence no scalar run produces.
+// Call before Core.Run; the core must not carry an injector of its own.
 func NewBatchSim(c *Core, lanes []FaultInjector) (*BatchSim, error) {
 	if len(lanes) == 0 {
 		return nil, fmt.Errorf("core: batch needs at least one lane")
@@ -95,18 +148,32 @@ func NewBatchSim(c *Core, lanes []FaultInjector) (*BatchSim, error) {
 		diverged: make([]bool, len(lanes)),
 		struck:   make([]uint64, len(lanes)),
 	}
+	dues := make([]uint64, oppKinds*len(lanes))
+	for k := range b.due {
+		b.due[k] = dues[k*len(lanes) : (k+1)*len(lanes)]
+		b.next[k] = notDue
+	}
 	for i, inj := range lanes {
 		if inj == nil {
 			b.faultFree++
+			for k := range b.due {
+				b.due[k][i] = notDue
+			}
 			continue
 		}
 		bi, ok := inj.(BatchableInjector)
 		if !ok {
-			return nil, fmt.Errorf("core: lane %d injector %T is not batchable (no InjectedCount/Reset)", i, inj)
+			return nil, fmt.Errorf("core: lane %d injector %T is not batchable (no InjectedCount/Reset/Quiet)", i, inj)
 		}
 		bi.Reset()
 		b.inj[i] = bi
 		b.injected[i] = bi.InjectedCount()
+		b.due[oppFU][i] = bi.QuietFU(quietWindow)
+		b.due[oppOperand][i] = bi.QuietOperand(quietWindow)
+		b.due[oppIRBInsert][i] = bi.QuietIRBInsert(quietWindow)
+		for k := range b.due {
+			b.next[k] = min(b.next[k], b.due[k][i])
+		}
 		b.active++
 	}
 	if c.reuse != nil {
@@ -134,13 +201,17 @@ func (b *BatchSim) Diverged(i int) (seq uint64, diverged bool) {
 	return b.struck[i], b.diverged[i]
 }
 
-// evict retires lane i from the batch at the opportunity that fired. When
-// the last injector lane leaves and no fault-free lane needs the full run,
-// the leader aborts with ErrBatchDrained — unless the run is already over
-// (an oracle divergence or a completed program must keep its own outcome).
+// evict retires lane i from the batch at the opportunity that fired and
+// takes it off every kind's schedule. When the last injector lane leaves
+// and no fault-free lane needs the full run, the leader aborts with
+// ErrBatchDrained — unless the run is already over (an oracle divergence
+// or a completed program must keep its own outcome).
 func (b *BatchSim) evict(i int, seq uint64) {
 	b.diverged[i] = true
 	b.struck[i] = seq
+	for k := range b.due {
+		b.due[k][i] = notDue
+	}
 	b.active--
 	if b.active == 0 && b.faultFree == 0 && !b.c.done {
 		b.c.Abort(ErrBatchDrained)
@@ -148,23 +219,33 @@ func (b *BatchSim) evict(i int, seq uint64) {
 }
 
 // FUResult implements FaultInjector for the batch leader: the leader's
-// signature passes through clean while each active lane's injector is
-// probed with it. A changed return value or a bumped fire count means the
-// lane's scalar run would differ from the shared trajectory from this
-// opportunity on, so the lane is evicted.
+// signature passes through clean. At a due opportunity each due lane's
+// injector is probed with it; a changed return value or a bumped fire
+// count means the lane's scalar run would differ from the shared
+// trajectory from this opportunity on, so the lane is evicted, and
+// otherwise it is re-armed past the quiet opportunities that follow.
 //
 //lint:hotpath
 func (b *BatchSim) FUResult(seq, pc uint64, dup bool, sig uint64) uint64 {
-	if b.active > 0 {
-		for i, inj := range b.inj {
-			if inj == nil || b.diverged[i] {
-				continue
-			}
+	n := b.seen[oppFU]
+	b.seen[oppFU]++
+	if n < b.next[oppFU] {
+		return sig
+	}
+	next := uint64(notDue)
+	for i, d := range b.due[oppFU] {
+		if d == n {
+			inj := b.inj[i]
 			if inj.FUResult(seq, pc, dup, sig) != sig || inj.InjectedCount() != b.injected[i] {
 				b.evict(i, seq)
+				continue
 			}
+			d = n + 1 + inj.QuietFU(quietWindow)
+			b.due[oppFU][i] = d
 		}
+		next = min(next, d)
 	}
+	b.next[oppFU] = next
 	return sig
 }
 
@@ -172,35 +253,53 @@ func (b *BatchSim) FUResult(seq, pc uint64, dup bool, sig uint64) uint64 {
 //
 //lint:hotpath
 func (b *BatchSim) Operand(seq, pc uint64, dup bool, which int, val uint64) uint64 {
-	if b.active > 0 {
-		for i, inj := range b.inj {
-			if inj == nil || b.diverged[i] {
-				continue
-			}
+	n := b.seen[oppOperand]
+	b.seen[oppOperand]++
+	if n < b.next[oppOperand] {
+		return val
+	}
+	next := uint64(notDue)
+	for i, d := range b.due[oppOperand] {
+		if d == n {
+			inj := b.inj[i]
 			if inj.Operand(seq, pc, dup, which, val) != val || inj.InjectedCount() != b.injected[i] {
 				b.evict(i, seq)
+				continue
 			}
+			d = n + 1 + inj.QuietOperand(quietWindow)
+			b.due[oppOperand][i] = d
 		}
+		next = min(next, d)
 	}
+	b.next[oppOperand] = next
 	return val
 }
 
-// AfterIRBInsert implements FaultInjector. Lane injectors are probed
-// against the scratch IRB — never the leader's live buffer — so a firing
-// strike corrupts nothing shared; it is observed through the fire count
-// alone and evicts the lane like any other divergence.
+// AfterIRBInsert implements FaultInjector; see FUResult. Due lanes are
+// probed against the scratch IRB — never the leader's live buffer — so a
+// firing strike corrupts nothing shared; it is observed through the fire
+// count alone and evicts the lane like any other divergence.
 //
 //lint:hotpath
 func (b *BatchSim) AfterIRBInsert(pc uint64, _ *irb.IRB) {
-	if b.active > 0 {
-		for i, inj := range b.inj {
-			if inj == nil || b.diverged[i] {
-				continue
-			}
+	n := b.seen[oppIRBInsert]
+	b.seen[oppIRBInsert]++
+	if n < b.next[oppIRBInsert] {
+		return
+	}
+	next := uint64(notDue)
+	for i, d := range b.due[oppIRBInsert] {
+		if d == n {
+			inj := b.inj[i]
 			inj.AfterIRBInsert(pc, b.scratch)
 			if inj.InjectedCount() != b.injected[i] {
 				b.evict(i, 0)
+				continue
 			}
+			d = n + 1 + inj.QuietIRBInsert(quietWindow)
+			b.due[oppIRBInsert][i] = d
 		}
+		next = min(next, d)
 	}
+	b.next[oppIRBInsert] = next
 }

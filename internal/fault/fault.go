@@ -80,7 +80,8 @@ func (c Config) Validate() error {
 // from the bookkeeping: they are squashed before the check regardless.
 type Injector struct {
 	cfg    Config
-	rng    *rand.Rand
+	pcg    *rand.PCG           // the stream rng draws from; quiet scans it directly
+	rng    *rand.Rand          // reads pcg
 	struck map[uint64]struct{} // architected seqs already hit
 
 	// Injected counts faults actually applied.
@@ -92,17 +93,20 @@ func New(cfg Config) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	pcg, rng := newRNG(cfg.Seed)
 	return &Injector{
 		cfg:    cfg,
-		rng:    newRNG(cfg.Seed),
+		pcg:    pcg,
+		rng:    rng,
 		struck: make(map[uint64]struct{}),
 	}, nil
 }
 
 // newRNG builds the injector's seeded PRNG; Reset rebuilds the identical
 // stream from the same seed.
-func newRNG(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0xdeadbeefcafef00d))
+func newRNG(seed uint64) (*rand.PCG, *rand.Rand) {
+	pcg := rand.NewPCG(seed, seed^0xdeadbeefcafef00d)
+	return pcg, rand.New(pcg)
 }
 
 // InjectedCount implements core.BatchableInjector.
@@ -113,7 +117,7 @@ func (i *Injector) InjectedCount() uint64 { return i.Injected }
 // zero fault count — so the next run it steers is bit-identical to one
 // steered by a fresh New(cfg) injector.
 func (i *Injector) Reset() {
-	i.rng = newRNG(i.cfg.Seed)
+	i.pcg, i.rng = newRNG(i.cfg.Seed)
 	clear(i.struck)
 	i.Injected = 0
 }
@@ -145,6 +149,54 @@ func (i *Injector) fire() bool {
 	}
 	i.Injected++
 	return true
+}
+
+// quiet advances the PRNG past up to n opportunities of the injector's
+// own site at which fire would draw and decline, and returns how many it
+// passed. The first draw that would fire is put back, so the next real
+// call draws it again and fires. Before the first fire this is exact:
+// struck is empty and MaxFaults cannot bind, so every opportunity of the
+// site, whatever its arguments, draws one Float64 and does nothing else.
+// Once the injector has fired, quiet passes nothing and every opportunity
+// must be offered for real.
+func (i *Injector) quiet(n uint64) uint64 {
+	if i.Injected > 0 {
+		return 0
+	}
+	for k := uint64(0); k < n; k++ {
+		prev := *i.pcg
+		// fire's decision: rand.Rand.Float64 of the same draw < Rate.
+		if float64(i.pcg.Uint64()<<11>>11)/(1<<53) < i.cfg.Rate {
+			*i.pcg = prev
+			return k
+		}
+	}
+	return n
+}
+
+// QuietFU implements core.BatchableInjector. Only an FU-site injector
+// draws at an FU opportunity; any other passes all n.
+func (i *Injector) QuietFU(n uint64) uint64 {
+	if i.cfg.Site != FU {
+		return n
+	}
+	return i.quiet(n)
+}
+
+// QuietOperand implements core.BatchableInjector; see QuietFU.
+func (i *Injector) QuietOperand(n uint64) uint64 {
+	if i.cfg.Site != Forward {
+		return n
+	}
+	return i.quiet(n)
+}
+
+// QuietIRBInsert implements core.BatchableInjector; see QuietFU.
+func (i *Injector) QuietIRBInsert(n uint64) uint64 {
+	if i.cfg.Site != IRBResult && i.cfg.Site != IRBOperand {
+		return n
+	}
+	return i.quiet(n)
 }
 
 // FUResult implements core.FaultInjector.
@@ -224,6 +276,32 @@ func (p *Persistent) InjectedCount() uint64 { return p.Injected }
 // per-instruction bookkeeping; only the applied-fault count is consumed
 // state.
 func (p *Persistent) Reset() { p.Injected = 0 }
+
+// QuietFU implements core.BatchableInjector. A stuck-at fault fires by
+// PC, which a skipped opportunity does not show, so at its own site it
+// passes nothing; elsewhere it never fires and passes all n.
+func (p *Persistent) QuietFU(n uint64) uint64 {
+	if p.Site == FU {
+		return 0
+	}
+	return n
+}
+
+// QuietOperand implements core.BatchableInjector; see QuietFU.
+func (p *Persistent) QuietOperand(n uint64) uint64 {
+	if p.Site == Forward {
+		return 0
+	}
+	return n
+}
+
+// QuietIRBInsert implements core.BatchableInjector; see QuietFU.
+func (p *Persistent) QuietIRBInsert(n uint64) uint64 {
+	if p.Site == IRBResult || p.Site == IRBOperand {
+		return 0
+	}
+	return n
+}
 
 func (p *Persistent) fire() bool {
 	if p.MaxFaults > 0 && p.Injected >= p.MaxFaults {

@@ -126,10 +126,11 @@ func runBatchOnce(ctx context.Context, jobs []Job, lanes []int) (outs []sim.Batc
 }
 
 // runBatchGroup executes one batch group under the per-cell timeout. The
-// leader does about one cell's work regardless of lane count, so the
-// scalar cell bound applies; there is no group-level retry — on any
-// failure, timeout included, every lane falls back to a scalar cell with
-// the full per-cell timeout-and-retry semantics.
+// leader does one cell's work plus, per lane, a PRNG draw at each
+// opportunity of the lane's own site and a real probe only where it may
+// fire, so the scalar cell bound applies; there is no group-level retry —
+// on any failure, timeout included, every lane falls back to a scalar
+// cell with the full per-cell timeout-and-retry semantics.
 func runBatchGroup(ctx context.Context, jobs []Job, lanes []int, timeout time.Duration) ([]sim.BatchOutcome, error) {
 	if timeout <= 0 {
 		return runBatchOnce(ctx, jobs, lanes)

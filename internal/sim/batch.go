@@ -46,10 +46,13 @@ type BatchOutcome struct {
 // every non-nil lane injector must implement core.BatchableInjector.
 //
 // The returned slice has one outcome per lane. Convergent lanes' Results
-// are bit-identical to what RunContext would produce for them, including
-// their injector's final state; diverged lanes are flagged for a scalar
-// re-run. When every lane diverges the leader exits early (the batch is
-// drained) rather than finishing a run nobody consumes.
+// are bit-identical to what RunContext would produce for them. Their
+// injectors have fired nothing, but may have drawn ahead of where a
+// scalar run would leave them (core.BatchSim skips quiet opportunities in
+// windows), so Reset an injector before it steers another run. Diverged
+// lanes are flagged for a scalar re-run. When every lane diverges the
+// leader exits early (the batch is drained) rather than finishing a run
+// nobody consumes.
 //
 // A non-nil error reports that the leader could not complete: the batch
 // produced nothing and every lane should fall back to a scalar run, which
@@ -112,9 +115,14 @@ func RunBatchContext(ctx context.Context, name string, cfg core.Config, p worklo
 		}
 		r := leader
 		r.Config = lanes[i].Name
+		// Lanes must not share mutable state.
 		if leader.IRB != nil {
 			st := *leader.IRB
-			r.IRB = &st // lanes must not share mutable state
+			r.IRB = &st
+		}
+		if leader.TRB != nil {
+			st := *leader.TRB
+			r.TRB = &st
 		}
 		outs[i] = BatchOutcome{Result: r}
 	}

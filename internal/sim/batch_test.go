@@ -191,3 +191,151 @@ func TestRunBatchMisuse(t *testing.T) {
 		t.Error("non-batchable injector lane accepted")
 	}
 }
+
+// countingInjector is a fault.Injector that counts the opportunities it
+// is offered for real, one counter per kind: FUResult, Operand and
+// AfterIRBInsert. Quiet calls are not counted.
+type countingInjector struct {
+	*fault.Injector
+	calls [3]int
+}
+
+func (c *countingInjector) FUResult(seq, pc uint64, dup bool, sig uint64) uint64 {
+	c.calls[0]++
+	return c.Injector.FUResult(seq, pc, dup, sig)
+}
+
+func (c *countingInjector) Operand(seq, pc uint64, dup bool, which int, val uint64) uint64 {
+	c.calls[1]++
+	return c.Injector.Operand(seq, pc, dup, which, val)
+}
+
+func (c *countingInjector) AfterIRBInsert(pc uint64, b *irb.IRB) {
+	c.calls[2]++
+	c.Injector.AfterIRBInsert(pc, b)
+}
+
+// TestBatchQuietLanesProbedWhenDue: the batch offers a lane only the
+// opportunities at which its injector may fire. With 64 FU lanes at 1e-9
+// among two loud lanes and a fault-free one, every lane still equals its
+// own scalar run, while each quiet lane is probed for real at most twice
+// per opportunity kind — once where its first quiet window ends and once
+// where the second does — of the tens of thousands its scalar run sees.
+func TestBatchQuietLanesProbedWhenDue(t *testing.T) {
+	p := gzipProfile(t)
+	cfg := core.BaseDIEIRB()
+	opts := Options{Insns: 20_000, Verify: true}
+	const quiet, loud = 64, 2
+	specs := []fault.Config{{}} // lane 0 is fault-free
+	for s := 1; s <= quiet+loud; s++ {
+		rate := 1e-9
+		if s > quiet {
+			rate = 1e-3
+		}
+		specs = append(specs, fault.Config{Site: fault.FU, Rate: rate, Seed: uint64(s)})
+	}
+	mk := func(spec fault.Config) *countingInjector {
+		inj, err := fault.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &countingInjector{Injector: inj}
+	}
+	lanes := []BatchLane{{Name: "clean"}}
+	injs := []*countingInjector{nil}
+	for _, spec := range specs[1:] {
+		inj := mk(spec)
+		lanes = append(lanes, BatchLane{Name: fmt.Sprintf("fu-%g-s%d", spec.Rate, spec.Seed), Injector: inj})
+		injs = append(injs, inj)
+	}
+	outs, err := RunBatchContext(nil, "DIE-IRB", cfg, p, opts, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var diverged int
+	for i, out := range outs {
+		refOpts := opts
+		var ref *countingInjector
+		if injs[i] != nil {
+			ref = mk(specs[i])
+			refOpts.Injector = ref
+		}
+		want, err := Run(lanes[i].Name, cfg, p, refOpts)
+		if err != nil {
+			t.Fatalf("lane %q: scalar reference failed: %v", lanes[i].Name, err)
+		}
+		got := out.Result
+		if out.Diverged {
+			diverged++
+			injs[i].Reset()
+			laneOpts := opts
+			laneOpts.Injector = injs[i]
+			if got, err = Run(lanes[i].Name, cfg, p, laneOpts); err != nil {
+				t.Fatalf("lane %q: scalar re-run failed: %v", lanes[i].Name, err)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("lane %q differs from its scalar run:\nbatch:  %+v\nscalar: %+v", lanes[i].Name, got, want)
+		}
+		if i == 0 || i > quiet {
+			continue
+		}
+		if i == 1 {
+			t.Logf("quiet lane %q: real calls %v in the batch, %v in its scalar run", lanes[i].Name, injs[i].calls, ref.calls)
+		}
+		if out.Diverged {
+			t.Errorf("quiet lane %q diverged", lanes[i].Name)
+		}
+		for k, n := range injs[i].calls {
+			if n > 2 {
+				t.Errorf("quiet lane %q: %d real calls of opportunity kind %d, want at most 2", lanes[i].Name, n, k)
+			}
+			if ref.calls[k] <= 2 {
+				t.Errorf("quiet lane %q: its scalar run offered only %d opportunities of kind %d; the bound proves nothing",
+					lanes[i].Name, ref.calls[k], k)
+			}
+		}
+	}
+	if diverged != loud {
+		t.Errorf("%d lanes diverged, want the %d loud ones", diverged, loud)
+	}
+}
+
+// TestBatchLanesOwnTheirStats: convergent lanes are handed copies of the
+// leader's reuse-buffer statistics, never one shared object, so a caller
+// that adjusts one lane's Result cannot change another's.
+func TestBatchLanesOwnTheirStats(t *testing.T) {
+	p := gzipProfile(t)
+	var cfg core.Config
+	for _, mi := range core.Modes() {
+		if mi.Mode == core.DIETRB {
+			cfg = mi.Base()
+		}
+	}
+	inj, err := fault.New(fault.Config{Site: fault.FU, Rate: 1e-9, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := RunBatchContext(nil, "DIE-TRB", cfg, p, Options{Insns: 4_000},
+		[]BatchLane{{Name: "a"}, {Name: "b", Injector: inj}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := outs[0].Result, outs[1].Result
+	if outs[0].Diverged || outs[1].Diverged {
+		t.Fatalf("outcomes = %+v, want two convergent lanes", outs)
+	}
+	if a.IRB == nil || a.TRB == nil {
+		t.Fatalf("DIE-TRB result carries IRB %p and TRB %p, want both", a.IRB, a.TRB)
+	}
+	if a.IRB == b.IRB {
+		t.Error("two lanes share one *irb.Stats")
+	}
+	if a.TRB == b.TRB {
+		t.Error("two lanes share one *trb.Stats")
+	}
+	if !reflect.DeepEqual(*a.TRB, *b.TRB) || !reflect.DeepEqual(*a.IRB, *b.IRB) {
+		t.Error("lanes' reuse-buffer statistics differ")
+	}
+}
