@@ -33,6 +33,14 @@ const goldenInsns = 4_000
 // goldenProfiles mix integer and FP, cache-friendly and memory-bound work.
 var goldenProfiles = []string{"gzip", "gcc", "mcf", "mesa"}
 
+// longInsns and longProfiles pin the headline machines through long memory
+// stalls: on mcf and ammp most cycles change no pipeline state, so these
+// cells hold the cycle loop's handling of idle spans to the bit, at a
+// budget where the caches have warmed and the misses recur.
+const longInsns = 30_000
+
+var longProfiles = []string{"mcf", "ammp"}
+
 // goldenCell is one configuration of the timing golden; site is empty for
 // fault-free cells and names the injection site of a campaign cell.
 type goldenCell struct {
@@ -87,11 +95,21 @@ func goldenCells(t *testing.T) []goldenCell {
 	return cells
 }
 
-// runGoldenCell runs one verified cell, replaying tr when it is non-nil
-// and interpreting the program directly otherwise. Campaign cells get a
-// fresh injector per run so both paths see the same fault stream.
-func runGoldenCell(c goldenCell, p workload.Profile, tr *fsim.Trace) (Result, error) {
-	opts := Options{Insns: goldenInsns, Verify: true, Trace: tr}
+// longCells lists the headline machines, run at longInsns.
+func longCells() []goldenCell {
+	var cells []goldenCell
+	for _, nc := range HeadlineConfigs() {
+		cells = append(cells, goldenCell{name: "long:" + nc.Name, cfg: nc.Cfg})
+	}
+	return cells
+}
+
+// runGoldenCell runs one verified cell of insns instructions, replaying tr
+// when it is non-nil and interpreting the program directly otherwise.
+// Campaign cells get a fresh injector per run so both paths see the same
+// fault stream.
+func runGoldenCell(c goldenCell, p workload.Profile, insns uint64, tr *fsim.Trace) (Result, error) {
+	opts := Options{Insns: insns, Verify: true, Trace: tr}
 	if c.site != "" {
 		inj, err := fault.New(fault.Config{Site: c.site, Rate: 3e-4, Seed: p.Seed})
 		if err != nil {
@@ -114,7 +132,8 @@ func goldenLine(p string, c goldenCell, r Result) (string, error) {
 }
 
 // TestTimingGolden pins the timing model's output bit for bit: every cell
-// of the grid above, run through trace replay and through direct
+// of the grid above on goldenProfiles, and every long cell on
+// longProfiles, run through trace replay and through direct
 // interpretation, must produce identical Results, and the rendered lines
 // must equal testdata/golden_stats.txt byte for byte. A performance change
 // to the core or the functional simulator must leave this file untouched;
@@ -124,22 +143,32 @@ func goldenLine(p string, c goldenCell, r Result) (string, error) {
 func TestTimingGolden(t *testing.T) {
 	cells := goldenCells(t)
 	type job struct {
-		p    workload.Profile
-		tr   *fsim.Trace
-		cell goldenCell
+		p     workload.Profile
+		insns uint64
+		tr    *fsim.Trace
+		cell  goldenCell
 	}
 	var jobs []job
-	for _, name := range goldenProfiles {
-		p, ok := workload.ByName(name)
-		if !ok {
-			t.Fatalf("profile %s missing", name)
-		}
-		tr, err := CaptureTrace(p, Options{Insns: goldenInsns})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range cells {
-			jobs = append(jobs, job{p, tr, c})
+	for _, set := range []struct {
+		profiles []string
+		insns    uint64
+		cells    []goldenCell
+	}{
+		{goldenProfiles, goldenInsns, cells},
+		{longProfiles, longInsns, longCells()},
+	} {
+		for _, name := range set.profiles {
+			p, ok := workload.ByName(name)
+			if !ok {
+				t.Fatalf("profile %s missing", name)
+			}
+			tr, err := CaptureTrace(p, Options{Insns: set.insns})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range set.cells {
+				jobs = append(jobs, job{p, set.insns, tr, c})
+			}
 		}
 	}
 
@@ -153,12 +182,12 @@ func TestTimingGolden(t *testing.T) {
 			defer wg.Done()
 			for i := range next {
 				j := jobs[i]
-				replay, err := runGoldenCell(j.cell, j.p, j.tr)
+				replay, err := runGoldenCell(j.cell, j.p, j.insns, j.tr)
 				if err != nil {
 					errs[i] = fmt.Errorf("%s %s replay: %w", j.p.Name, j.cell.name, err)
 					continue
 				}
-				direct, err := runGoldenCell(j.cell, j.p, nil)
+				direct, err := runGoldenCell(j.cell, j.p, j.insns, nil)
 				if err != nil {
 					errs[i] = fmt.Errorf("%s %s direct: %w", j.p.Name, j.cell.name, err)
 					continue
