@@ -9,6 +9,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -201,6 +202,47 @@ func TestBatchDivergedLanesRerunScalar(t *testing.T) {
 	}
 	if rerunInjector.Injected != 0 {
 		t.Error("diverged lane's injector was not reset before its re-run")
+	}
+}
+
+// TestDivergedLanesRerunOnAllWorkers: a run that forms a single batch
+// group has one phase-one task, but its diverged lanes are independent
+// scalar cells; phase two must spread them over every worker instead of
+// inheriting phase one's pool of one.
+func TestDivergedLanesRerunOnAllWorkers(t *testing.T) {
+	swapSimRunBatch(t, func(_ context.Context, _ string, _ core.Config, _ workload.Profile, _ sim.Options, lanes []sim.BatchLane) ([]sim.BatchOutcome, error) {
+		outs := make([]sim.BatchOutcome, len(lanes))
+		for i := range outs {
+			outs[i] = sim.BatchOutcome{Diverged: true, StruckSeq: 1}
+		}
+		return outs, nil
+	})
+	var running, peak atomic.Int32
+	swapSimRun(t, func(_ context.Context, _ string, _ core.Config, _ workload.Profile, _ sim.Options) (sim.Result, error) {
+		n := running.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		time.Sleep(50 * time.Millisecond)
+		running.Add(-1)
+		return sim.Result{Config: "scalar"}, nil
+	})
+
+	jobs := campaignStubJobs(t, "a", 4)
+	outs, err := Run(context.Background(), jobs, Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outs {
+		if o.Result.Config != "scalar" {
+			t.Errorf("lane %d served by %q, want a scalar re-run", i, o.Result.Config)
+		}
+	}
+	if got := peak.Load(); got != 2 {
+		t.Errorf("peak concurrent re-runs = %d, want 2 (Parallelism)", got)
 	}
 }
 
