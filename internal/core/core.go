@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -119,6 +120,24 @@ type Core struct {
 	// completes it by reuse, so selectIssue visits only uops wakeup has
 	// released instead of every waiting one.
 	ready []uint64
+	// Per-slot select state, written at dispatch for the copy entering
+	// the slot, so selectIssue can pick each pass's candidates and turn
+	// away a copy it cannot issue without loading the uop: shadow has bit
+	// i set when slot i holds a shadow (duplicate-stream) copy,
+	// irbUntested when the slot's copy hit the IRB by PC and has not run
+	// its reuse test, readyAt[i] is the earliest cycle the copy may be
+	// selected once its producers are done (completeUop raises it), and
+	// class[i] is the copy's functional unit class.
+	shadow      []uint64
+	irbUntested []uint64
+	readyAt     []uint64
+	class       []isa.FUClass
+
+	// acted records that a stage changed pipeline state in the current
+	// cycle. A cycle in which none did and whose ready set is empty
+	// repeats verbatim until an event, the fetch stall's end or a Run
+	// limit comes due, so Tick skips the repeats (see Tick).
+	acted bool
 
 	// regVer counts architected-register writes entering the pipeline,
 	// for the name-based reuse test. Wrong-path bumps are never undone:
@@ -205,6 +224,10 @@ func NewAt(cfg Config, m *fsim.Machine) (*Core, error) {
 		lsq:           newRing(cfg.LSQSize),
 		fq:            newFetchQueue(cfg.FetchQueue),
 		ready:         make([]uint64, (cfg.RUUSize+63)/64),
+		shadow:        make([]uint64, (cfg.RUUSize+63)/64),
+		irbUntested:   make([]uint64, (cfg.RUUSize+63)/64),
+		readyAt:       make([]uint64, cfg.RUUSize),
+		class:         make([]isa.FUClass, cfg.RUUSize),
 	}
 	c.dupBuf = make([]*uop, c.streams-1)
 	if c.caps.Compare == CompareEpoch {
@@ -302,8 +325,8 @@ func (c *Core) Mem() *cache.Hierarchy { return c.mem }
 // Cycle returns the current cycle number.
 func (c *Core) Cycle() uint64 { return c.cycle }
 
-// RequestStop asks a running simulation to stop at the next cycle
-// boundary, after which Run returns ErrStopped. It is the only Core
+// RequestStop asks a running simulation to stop at the end of the current
+// Tick, after which Run returns ErrStopped. It is the only Core
 // method safe to call from another goroutine; the simulation driver uses
 // it to implement context cancellation.
 func (c *Core) RequestStop() { c.stopReq.Store(true) }
@@ -337,24 +360,76 @@ func (c *Core) Run() error {
 	return c.abortErr
 }
 
-// Tick advances the machine one cycle. Stages run commit-first so a result
-// produced in cycle t is consumable in cycle t (wakeup before select) and
-// an instruction dispatched in cycle t issues no earlier than t+1.
+// Tick advances the machine by one cycle, or by more when the cycles after
+// this one would repeat it. Stages run commit-first so a result produced in
+// cycle t is consumable in cycle t (wakeup before select) and an
+// instruction dispatched in cycle t issues no earlier than t+1.
+//
+// A cycle in which no stage acted (see Core.acted) and whose ready set is
+// empty changed nothing but the cycle count and the dispatch stall
+// counters, and each following cycle repeats it until a time threshold
+// comes due: the next completion event or the end of a fetch stall. Tick
+// then moves to the cycle before the earliest of those, adding the
+// skipped cycles to FetchQEmpty, RUUFullStalls and LSQFullStalls at this
+// cycle's rate. A REPLAY stall likewise passes in one step. Neither skip
+// passes MaxCycles or the deadlock window, so Run stops at the cycle it
+// would have stopped at one cycle at a time, with the same statistics.
 //
 //lint:hotpath
 func (c *Core) Tick() {
 	c.cycle++
+	// next is the first cycle that may differ from this one, and the
+	// counts are this cycle's dispatch stalls, which each skipped cycle
+	// repeats.
+	var next, fqEmpty, ruuFull, lsqFull uint64
 	if c.cycle <= c.stallUntil {
 		// REPLAY epoch check in progress: the replay engine owns the
 		// datapath, nothing else advances (see replayEpochCheck).
+		next = c.stallUntil + 1
+	} else {
+		fqEmpty, ruuFull, lsqFull = c.Stats.FetchQEmpty, c.Stats.RUUFullStalls, c.Stats.LSQFullStalls
+		c.acted = false
+		c.commit()
+		c.writeback()
+		c.memIssue()
+		c.selectIssue()
+		c.dispatch()
+		c.fetch()
+		if c.acted {
+			return
+		}
+		for _, w := range c.ready {
+			if w != 0 {
+				// A ready copy may become selectable, or find its unit
+				// free, at any later cycle.
+				return
+			}
+		}
+		fqEmpty = c.Stats.FetchQEmpty - fqEmpty
+		ruuFull = c.Stats.RUUFullStalls - ruuFull
+		lsqFull = c.Stats.LSQFullStalls - lsqFull
+		next = math.MaxUint64
+		if len(c.events) > 0 {
+			next = c.events[0].cycle
+		}
+		if !c.fetchStopped && c.fetchStallUntil > c.cycle {
+			next = min(next, c.fetchStallUntil)
+		}
+	}
+	// Run checks its limits after every Tick and fails at the first cycle
+	// past one; that cycle must still run as it would have.
+	next = min(next, c.lastCommitCycle+deadlockWindow+1)
+	if c.cfg.MaxCycles > 0 {
+		next = min(next, c.cfg.MaxCycles+1)
+	}
+	if next <= c.cycle+1 {
 		return
 	}
-	c.commit()
-	c.writeback()
-	c.memIssue()
-	c.selectIssue()
-	c.dispatch()
-	c.fetch()
+	skip := next - 1 - c.cycle
+	c.cycle += skip
+	c.Stats.FetchQEmpty += skip * fqEmpty
+	c.Stats.RUUFullStalls += skip * ruuFull
+	c.Stats.LSQFullStalls += skip * lsqFull
 }
 
 // ---------------------------------------------------------------- fetch
@@ -365,6 +440,7 @@ func (c *Core) fetch() {
 		return
 	}
 	for budget := c.cfg.FetchWidth; budget > 0 && !c.fq.full(); budget-- {
+		c.acted = true
 		addr := c.fetchPC * isa.InstrBytes
 		block := addr / uint64(c.cfg.Cache.L1I.BlockBytes)
 		if block != c.curFetchBlock {
@@ -414,6 +490,7 @@ func (c *Core) dispatch() {
 			c.Stats.LSQFullStalls++
 			return
 		}
+		c.acted = true
 
 		// Execute functionally at the dispatch front, exactly like
 		// sim-outorder: correct-path instructions advance the
@@ -476,14 +553,27 @@ func (c *Core) dispatch() {
 		}
 
 		c.wireAndRename(primary, dups)
-		// Copies waiting on no producer enter the ready set now; the
-		// rest join it when completeUop releases their last operand.
-		if primary.state == uWaiting && primary.waitCount == 0 {
-			c.ready[primary.slot>>6] |= 1 << (primary.slot & 63)
-		}
-		for _, dupU := range dups {
-			if dupU.state == uWaiting && dupU.waitCount == 0 {
-				c.ready[dupU.slot>>6] |= 1 << (dupU.slot & 63)
+		// Each copy's slot takes its select state. Copies waiting on no
+		// producer enter the ready set now; the rest join it when
+		// completeUop releases their last operand.
+		for s := 0; s < need; s++ {
+			u := primary
+			if s > 0 {
+				u = dups[s-1]
+			}
+			i, k, bit := u.slot, u.slot>>6, uint64(1)<<(u.slot&63)
+			c.readyAt[i] = c.cycle + 1
+			c.class[i] = u.rec.Instr.Op.Info().Class
+			c.shadow[k] &^= bit
+			if u.dup {
+				c.shadow[k] |= bit
+			}
+			c.irbUntested[k] &^= bit
+			if u.irbPCHit {
+				c.irbUntested[k] |= bit
+			}
+			if u.state == uWaiting && u.waitCount == 0 {
+				c.ready[k] |= bit
 			}
 		}
 		if c.tracer != nil {
@@ -527,7 +617,6 @@ func (c *Core) newUop(fe *fetchEntry, rec fsim.Retired, wrong, dup bool) *uop {
 	u.dispatchCycle = c.cycle
 	u.fetchCycle = fe.cycle
 	u.predNext = fe.predNext
-	u.readyAt = c.cycle + 1
 	u.src1c = rec.Src1
 	u.src2c = rec.Src2
 	c.Stats.Dispatched++
@@ -707,18 +796,29 @@ func (c *Core) selectIssue() {
 	// the first pass regardless — it is overlapped with wakeup and
 	// consumes neither an issue slot nor a functional unit.
 	//
-	// Each pass visits the ready set — only uops whose producers have all
-	// completed, not every waiting one — in RUU age order: buffer slots
-	// from the head to the end, then from 0 up to the head. The word
-	// under the cursor is re-read at every step, so a consumer that an
+	// Each pass visits only its candidates — copies whose producers have
+	// all completed, not every waiting one — in RUU age order: buffer
+	// slots from the head to the end, then from 0 up to the head. The
+	// first pass's candidates are the ready primaries and the ready copies
+	// still owing their reuse test, the second's the ready shadow copies.
+	// A candidate that cannot issue — its pass is out of slots, or has
+	// found its unit class full, and it owes no reuse test — is counted
+	// from the per-slot state without loading its uop. The words under
+	// the cursor are re-read at every step, so a consumer that an
 	// IRBChaining reuse completion wakes mid-pass is still visited in the
 	// same pass: it is younger than its producer, hence ahead of the
 	// cursor.
 	head := c.ruu.head
 	for pass := 0; pass < 2; pass++ {
+		var full uint8 // bit cl set: the pass found class cl's units busy
 		for seg, lo, hi := 0, head, len(c.ruu.buf); seg < 2; seg, lo, hi = seg+1, 0, head {
 			for i := lo; i < hi; i++ {
-				w := c.ready[i>>6] >> (i & 63)
+				k := i >> 6
+				cand := c.shadow[k]
+				if pass == 0 {
+					cand = ^cand | c.irbUntested[k]
+				}
+				w := (c.ready[k] & cand) >> (i & 63)
 				if w == 0 {
 					i |= 63 // the loop increment moves to the next word
 					continue
@@ -726,7 +826,16 @@ func (c *Core) selectIssue() {
 				if i += bits.TrailingZeros64(w); i >= hi {
 					break
 				}
-				if c.trySelect(c.ruu.buf[i], pass, &slots, selDelay) {
+				// The last producer's broadcast may still be in flight.
+				if c.readyAt[i]+selDelay > c.cycle {
+					continue
+				}
+				if (slots == 0 || full&(1<<c.class[i]) != 0) &&
+					(pass == 1 || c.irbUntested[k]&(1<<(i&63)) == 0) {
+					c.Stats.ReadyNotIssued++
+					continue
+				}
+				if c.trySelect(c.ruu.buf[i], pass, &slots, &full) {
 					// Recovery rebuilt the ready set from the
 					// surviving window; this scan is stale.
 					return
@@ -743,22 +852,19 @@ func (c *Core) selectIssue() {
 	}
 }
 
-// trySelect runs the per-candidate body of the issue loop: the overlapped
-// IRB reuse test on the first pass, then the pass's slot and functional
-// unit arbitration. It reports whether a reuse completion resolved a
-// mispredicted branch and triggered recovery, in which case the caller's
-// scan state is invalid and it must return immediately.
+// trySelect runs the per-candidate body of the issue loop for a copy whose
+// operands have reached it: the overlapped IRB reuse test on the first
+// pass, then the pass's slot and functional unit arbitration, marking in
+// full a unit class it finds busy. It reports whether a reuse completion
+// resolved a mispredicted branch and triggered recovery, in which case the
+// caller's scan state is invalid and it must return immediately.
 //
 //lint:hotpath
-func (c *Core) trySelect(u *uop, pass int, slots *int, selDelay uint64) bool {
-	// The ready set holds only uops with no pending producer; the last
-	// producer's broadcast may still be in flight.
-	if u.readyAt+selDelay > c.cycle {
-		return false
-	}
-
+func (c *Core) trySelect(u *uop, pass int, slots *int, full *uint8) bool {
 	if pass == 0 && u.irbPCHit && !u.irbTested && c.cycle >= u.irbReady {
+		c.acted = true
 		u.irbTested = true
+		c.irbUntested[u.slot>>6] &^= 1 << (u.slot & 63)
 		if c.reuseTest(u) {
 			u.reuseHit = true
 			c.Stats.IRBReuseHits++
@@ -782,8 +888,10 @@ func (c *Core) trySelect(u *uop, pass int, slots *int, selDelay uint64) bool {
 	op := u.rec.Instr.Op
 	if !c.allocFU(u, op) {
 		c.Stats.ReadyNotIssued++
+		*full |= 1 << c.class[u.slot]
 		return false
 	}
+	c.acted = true
 	(*slots)--
 	c.Stats.IssueSlotsUsed++
 	c.Stats.Issued[fuBucket(op)]++
@@ -872,6 +980,7 @@ func (c *Core) memIssue() {
 			continue
 		}
 		if fwd := c.forwardingStore(i, u.rec.Addr); fwd {
+			c.acted = true
 			u.memStarted = true
 			c.Stats.LoadForwarded++
 			c.events.schedule(c.cycle+1, evLoadDone, u)
@@ -881,6 +990,7 @@ func (c *Core) memIssue() {
 			continue
 		}
 		ports--
+		c.acted = true
 		lat := c.mem.AccessD(u.rec.Addr, false)
 		u.memStarted = true
 		c.events.schedule(c.cycle+uint64(lat), evLoadDone, u)
@@ -910,6 +1020,7 @@ func (c *Core) forwardingStore(loadIdx int, addr uint64) bool {
 //lint:hotpath
 func (c *Core) writeback() {
 	for len(c.events) > 0 && c.events[0].cycle <= c.cycle {
+		c.acted = true
 		e := c.events.pop()
 		u := e.u
 		if u.gen != e.gen || u.state == uSquashed {
@@ -990,8 +1101,8 @@ func (c *Core) completeUop(u *uop) bool {
 			// Inter-cluster forwarding costs an extra cycle.
 			at++
 		}
-		if consumer.readyAt < at {
-			consumer.readyAt = at
+		if c.readyAt[consumer.slot] < at {
+			c.readyAt[consumer.slot] = at
 		}
 		if consumer.waitCount == 0 && consumer.state == uWaiting {
 			c.ready[consumer.slot>>6] |= 1 << (consumer.slot & 63)
@@ -1140,6 +1251,7 @@ func (c *Core) commit() {
 				dupU = u
 			}
 		}
+		c.acted = true
 		switch {
 		case c.caps.Compare == CompareVote:
 			// Majority vote: a lone dissenter is outvoted and the

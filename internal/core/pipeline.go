@@ -24,8 +24,9 @@ const (
 // instruction. gen counts recyclings: every reference that can outlive the
 // uop (completion events, consumer links, rename table slots) carries the
 // gen it was created under and is dropped when the counts no longer match.
-// The ready set needs no such tag: it names RUU slots, and a slot's bit is
-// cleared before its uop can leave the window.
+// The ready set and the per-slot select state need no such tag: they name
+// RUU slots, a slot's ready bit is cleared before its uop can leave the
+// window, and dispatch rewrites the slot's state for the next occupant.
 type uop struct {
 	seq  uint64 // global dispatch order
 	gen  uint32 // recycling generation (bumped on free)
@@ -37,10 +38,10 @@ type uop struct {
 	wrongPath bool
 	state     uopState
 
-	// Dataflow. waitCount is the number of pending producers; readyAt is
-	// the earliest cycle the uop can be selected once waitCount is zero.
+	// Dataflow. waitCount is the number of pending producers; the
+	// earliest cycle the uop can be selected once it is zero is kept per
+	// RUU slot (Core.readyAt).
 	waitCount int
-	readyAt   uint64
 	consumers []consumerLink
 
 	dispatchCycle uint64
