@@ -7,11 +7,16 @@
 package repro_test
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/irb"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -240,6 +245,103 @@ func BenchmarkSimulatorThroughputDirect(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(insns)*float64(b.N)/b.Elapsed().Seconds(), "insns/s")
+		})
+	}
+}
+
+// campaignInsns is the per-cell budget of the batched-lockstep
+// benchmarks: a shared 50k-instruction gzip trace, the size the committed
+// batch records were taken at.
+const campaignInsns = 50_000
+
+// dieCampaignSetup resolves DIE through the mode registry and captures
+// the gzip trace every batched-lockstep benchmark replays.
+func dieCampaignSetup(b *testing.B) (core.Config, workload.Profile, *fsim.Trace) {
+	b.Helper()
+	mi, ok := core.ModeByName("DIE")
+	if !ok {
+		b.Fatal("DIE is not a registered mode")
+	}
+	p, _ := workload.ByName("gzip")
+	tr, err := sim.CaptureTrace(p, sim.Options{Insns: campaignInsns})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return mi.Base(), p, tr
+}
+
+// BenchmarkBatchThroughput measures the lockstep core's aggregate
+// bandwidth: one DIE leader serving K FU-fault lanes whose rate (1e-9) is
+// so low they stay convergent, so each operation simulates K lanes'
+// instructions for about one scalar run's wall clock. K=1 prices the
+// probe layer against SimulatorThroughput/DIE.
+func BenchmarkBatchThroughput(b *testing.B) {
+	cfg, p, tr := dieCampaignSetup(b)
+	for _, k := range []int{1, 4, 8, 16} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			lanes := make([]sim.BatchLane, k)
+			for i := range lanes {
+				inj, err := fault.New(fault.Config{Site: fault.FU, Rate: 1e-9, Seed: uint64(i + 1)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				lanes[i] = sim.BatchLane{Name: fmt.Sprintf("lane%d", i), Injector: inj}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// The batch resets each lane injector, so reusing the lanes
+				// replays the identical campaign.
+				if _, err := sim.RunBatchContext(context.Background(), "DIE", cfg, p,
+					sim.Options{Insns: campaignInsns, Trace: tr}, lanes); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(k*campaignInsns)*float64(b.N)/b.Elapsed().Seconds(), "aggregate-insns/s")
+		})
+	}
+}
+
+// BenchmarkGridFaultCampaign is the macro-benchmark behind the batch
+// planner: one recovery campaign (DIE on gzip, the fault-free baseline
+// plus 32 FU seeds at 2e-7) swept through runner.Run on one worker with
+// the planner on and off. Most lanes converge at this rate, the regime
+// batching wins in; diverged lanes re-run scalar, as in any sweep. CI's
+// batch-smoke job requires batched aggregate-insns/s of at least twice
+// scalar.
+func BenchmarkGridFaultCampaign(b *testing.B) {
+	cfg, p, tr := dieCampaignSetup(b)
+	jobs := []runner.Job{{Name: "DIE/clean", Config: cfg, Profile: p,
+		Opts: sim.Options{Insns: campaignInsns, Trace: tr}}}
+	for s := 1; s <= 32; s++ {
+		inj, err := fault.New(fault.Config{Site: fault.FU, Rate: 2e-7, Seed: uint64(s)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs = append(jobs, runner.Job{Name: fmt.Sprintf("DIE/fu-s%d", s), Config: cfg, Profile: p,
+			Opts: sim.Options{Insns: campaignInsns, Trace: tr, Injector: inj}})
+	}
+	for _, v := range []struct {
+		name    string
+		noBatch bool
+	}{{"batched", false}, {"scalar", true}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// The runner resets batchable injectors before every
+				// dispatch, so the job set is reusable across iterations.
+				outs, err := runner.Run(context.Background(), jobs,
+					runner.Options{Parallelism: 1, NoBatch: v.noBatch})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, o := range outs {
+					if o.Err != nil {
+						b.Fatal(o.Err)
+					}
+				}
+			}
+			b.ReportMetric(float64(len(jobs)*campaignInsns)*float64(b.N)/b.Elapsed().Seconds(), "aggregate-insns/s")
 		})
 	}
 }

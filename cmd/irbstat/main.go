@@ -94,7 +94,7 @@ func classOf(in isa.Instr) int {
 // retired instruction (the single-stream equivalent of the core's
 // commit-time updates).
 func characterize(p workload.Profile, entries, assoc, victim int, insns uint64) (counts, error) {
-	prog, err := workload.Generate(p.WithIters(insns + insns/3))
+	prog, err := sim.ProgramFor(p, sim.Options{Insns: insns})
 	if err != nil {
 		return counts{}, err
 	}

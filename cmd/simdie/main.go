@@ -34,7 +34,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -117,22 +116,17 @@ func run(bench, mode string, insns uint64, verify bool, jobs int, x2alu, x2ruu, 
 		if len(profiles) != 1 {
 			return fmt.Errorf("-dump and -trace need exactly one benchmark, got %d", len(profiles))
 		}
-		p := profiles[0]
+		prog, err := sim.ProgramFor(profiles[0], sim.Options{Insns: insns})
+		if err != nil {
+			return err
+		}
 		if dump {
-			prog, err := workload.Generate(p.WithIters(insns))
-			if err != nil {
-				return err
-			}
 			for pc, in := range prog.Code {
 				fmt.Printf("%6d: %s\n", pc, in)
 			}
 			return nil
 		}
 		// Tracing needs direct core access; run outside the driver.
-		prog, err := workload.Generate(p.WithIters(insns + insns/3))
-		if err != nil {
-			return err
-		}
 		cfg.MaxInsns = insns
 		c, err := core.New(cfg, prog)
 		if err != nil {

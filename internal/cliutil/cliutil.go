@@ -1,8 +1,8 @@
 // Package cliutil centralizes the flag handling shared by the repro
-// command-line tools (cmd/sweep, cmd/bench, cmd/simserved, cmd/simdie,
-// cmd/irbstat): the instruction budget, oracle verification, benchmark
-// selection, the parallel-runner width (-j), the grid-flag bundle those
-// compose into, and the table output formats backed by internal/stats.
+// command-line tools (cmd/sweep, cmd/simserved, cmd/simdie, cmd/irbstat):
+// the instruction budget, oracle verification, benchmark selection, the
+// parallel-runner width (-j), the grid-flag bundle those compose into,
+// and the table output formats backed by internal/stats.
 // Each command registers only the flags it needs, so the tools stay small
 // while spelling every shared knob the same way.
 package cliutil
@@ -93,10 +93,8 @@ func ResolveMode(name string) (core.ModeInfo, error) {
 	return mi, nil
 }
 
-// ExperimentFlags bundles the grid-run flags shared by cmd/sweep and
-// cmd/bench, and reused by cmd/simserved for its per-request defaults:
-// one registration, one spelling, one Options translation, instead of a
-// per-command copy of the same five flags.
+// ExperimentFlags bundles cmd/sweep's grid-run flags: one registration,
+// one spelling and one Options translation for the five flags.
 type ExperimentFlags struct {
 	Insns       *uint64
 	Bench       *string

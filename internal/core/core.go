@@ -929,8 +929,9 @@ func (c *Core) reuseTest(u *uop) bool {
 }
 
 // allocFU reserves a functional unit for u, honouring the cluster split:
-// with Clustered, primaries draw from cluster 0 and duplicates from
-// cluster 1, falling back to the shared pool for singleton units.
+// with Clustered, primaries draw from cluster 0 (fus) and every duplicate
+// from cluster 1 (fusDup), a full copy of the unit mix, singleton units
+// included; a duplicate never falls back to cluster 0.
 //
 //lint:hotpath
 func (c *Core) allocFU(u *uop, op isa.Op) bool {

@@ -95,8 +95,7 @@ type cell struct {
 	id        uint64
 	job       runner.Job
 	wire      api.Cell
-	key       string // ring + duplicate-identity key (fingerprint)
-	attempts  int    // lease expiries suffered
+	attempts  int // lease expiries suffered
 	notBefore time.Time
 	state     cellState
 	leaseID   string
@@ -153,7 +152,6 @@ type Coordinator struct {
 	leases   map[string]*lease
 	workers  map[string]*workerState
 	live     int // workers not marked dead
-	ring     *ring
 	nextCell uint64
 	nextLse  uint64
 	met      Metrics
@@ -200,7 +198,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		settled: make(map[uint64][sha256.Size]byte),
 		leases:  make(map[string]*lease),
 		workers: make(map[string]*workerState),
-		ring:    newRing(nil),
 		wake:    make(chan struct{}),
 	}
 }
@@ -294,7 +291,6 @@ func (c *Coordinator) enqueue(j runner.Job) (*cell, bool) {
 		id:   c.nextCell,
 		job:  j,
 		wire: wire,
-		key:  wire.Fingerprint,
 		done: make(chan outcome, 1),
 	}
 	cl.wire.ID = cl.id
@@ -316,28 +312,12 @@ func (c *Coordinator) abandon(cl *cell) {
 	delete(c.cells, cl.id)
 }
 
-// rebuildRingLocked recomputes the consistent-hash ring from the live
-// worker set (collect-then-sort, so map order never escapes).
-func (c *Coordinator) rebuildRingLocked() {
-	var ids []string
-	for id := range c.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	live := ids[:0]
-	for _, id := range ids {
-		if !c.workers[id].dead {
-			live = append(live, id)
-		}
-	}
-	c.ring = newRing(live)
-}
-
-// Lease grants a batch of pending cells to the calling worker,
-// registering (or reviving) it on the way. Cells whose ring owner is the
-// caller are granted first — the affinity that makes each worker's
-// content-addressed cache a shard of one distributed tier — but a worker
-// with no owned cells steals others' so no cell waits on a busy owner.
+// Lease grants the calling worker the oldest eligible pending cells, in
+// queue order, registering (or reviving) it on the way. Any live worker
+// may take any cell: the runner answers a repeated cell from the
+// coordinator's own result cache before it is enqueued, so no worker's
+// cache is worth steering a cell toward. A cell re-queued after a lease
+// expiry rejoins the back of the queue.
 func (c *Coordinator) Lease(req api.LeaseRequest) api.LeaseResponse {
 	t := now()
 	c.mu.Lock()
@@ -351,7 +331,6 @@ func (c *Coordinator) Lease(req api.LeaseRequest) api.LeaseResponse {
 	if w.dead {
 		w.dead = false
 		c.live++
-		c.rebuildRingLocked()
 	}
 	w.lastSeen = t
 
@@ -360,37 +339,21 @@ func (c *Coordinator) Lease(req api.LeaseRequest) api.LeaseResponse {
 		max = c.cfg.LeaseBatch
 	}
 
-	// Partition the eligible pending cells into ring-owned and stealable,
-	// preserving queue order within each class; compact the queue on the
-	// way (settled and leased entries drop out here).
-	var owned, other, keep []uint64
+	// Grant the first max cells past their backoff gate and keep the
+	// rest in order, compacting the queue on the way (settled and leased
+	// entries drop out here).
+	var grant, keep []uint64
 	for _, id := range c.pending {
 		cl, okc := c.cells[id]
 		if !okc || cl.state != cellPending {
 			continue
 		}
-		if cl.notBefore.After(t) {
-			keep = append(keep, id)
-			continue
-		}
-		if c.ring.owner(cl.ringKey()) == req.Worker {
-			owned = append(owned, id)
+		if len(grant) < max && !cl.notBefore.After(t) {
+			grant = append(grant, id)
 		} else {
-			other = append(other, id)
+			keep = append(keep, id)
 		}
 	}
-	grant := owned
-	if len(grant) < max {
-		grant = append(grant, other...)
-	} else {
-		other = append([]uint64(nil), other...)
-		keep = append(keep, other...)
-	}
-	if len(grant) > max {
-		keep = append(keep, grant[max:]...)
-		grant = grant[:max]
-	}
-	sort.Slice(keep, func(a, b int) bool { return keep[a] < keep[b] })
 	c.pending = keep
 
 	resp := api.LeaseResponse{
@@ -437,16 +400,6 @@ func (c *Coordinator) LeaseWait(ctx context.Context, req api.LeaseRequest) api.L
 			return resp
 		}
 	}
-}
-
-// ringKey is the cell's consistent-hash key: the fingerprint when the
-// cell is cacheable (so cache affinity holds), otherwise a stable
-// fallback from its identity.
-func (cl *cell) ringKey() string {
-	if cl.key != "" {
-		return cl.key
-	}
-	return cl.wire.Name + "/" + cl.wire.Profile.Name
 }
 
 // Heartbeat renews the worker's liveness and every lease it holds.
@@ -562,18 +515,13 @@ func (c *Coordinator) Tick() {
 		wids = append(wids, id)
 	}
 	sort.Strings(wids)
-	ringStale := false
 	for _, id := range wids {
 		w := c.workers[id]
 		if !w.dead && t.Sub(w.lastSeen) > deadline {
 			w.dead = true
 			c.live--
 			c.met.DeadWorkers++
-			ringStale = true
 		}
-	}
-	if ringStale {
-		c.rebuildRingLocked()
 	}
 
 	var lids []string
@@ -647,7 +595,7 @@ func cellFromJob(j runner.Job) (api.Cell, bool) {
 
 // JobFromCell rebuilds the runner.Job a wire cell describes — the worker
 // side of cellFromJob. The rebuilt job fingerprints identically, so the
-// worker's cache probe and the coordinator's sharding agree.
+// worker's cache probe uses the key the coordinator computed.
 func JobFromCell(c api.Cell) (runner.Job, error) {
 	opts := sim.Options{
 		Insns:       c.Insns,

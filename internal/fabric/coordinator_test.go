@@ -518,27 +518,29 @@ func TestCellRoundTripPreservesFingerprint(t *testing.T) {
 	}
 }
 
-// TestRingAffinity: cells lease preferentially to their ring owner, and
-// a worker with no owned cells still steals others'.
-func TestRingAffinity(t *testing.T) {
-	r := newRing([]string{"w1", "w2", "w3"})
-	// Ownership is deterministic.
-	for _, key := range []string{"a", "b", "c", "sha256:xyz"} {
-		if r.owner(key) != r.owner(key) {
-			t.Fatalf("owner(%q) unstable", key)
+// TestLeaseGrantsInQueueOrder: placement ignores which worker asks. With
+// two live workers and six queued cells, each lease call takes the oldest
+// pending cells, so the second caller gets the next two.
+func TestLeaseGrantsInQueueOrder(t *testing.T) {
+	freezeClock(t)
+	c := NewCoordinator(testConfig(t))
+	c.Lease(api.LeaseRequest{Worker: "w1"})
+	c.Lease(api.LeaseRequest{Worker: "w2"})
+	var ids []uint64
+	for i := 1; i <= 6; i++ {
+		cl, ok := c.enqueue(testJob(t, "SIE", uint64(1000*i)))
+		if !ok {
+			t.Fatalf("cell %d was not enqueued", i)
 		}
+		ids = append(ids, cl.id)
 	}
-	// Every worker owns a reasonable share of a keyspace.
-	counts := map[string]int{}
-	for i := 0; i < 999; i++ {
-		counts[r.owner(string(rune('a'+i%26))+string(rune('0'+i%10))+string(rune(i)))]++
-	}
-	for _, w := range []string{"w1", "w2", "w3"} {
-		if counts[w] < 100 {
-			t.Errorf("worker %s owns only %d/999 keys — ring badly unbalanced", w, counts[w])
+	for k, w := range []string{"w2", "w1"} {
+		var got []uint64
+		for _, l := range c.Lease(api.LeaseRequest{Worker: w, Max: 2}).Leases {
+			got = append(got, l.Cell.ID)
 		}
-	}
-	if newRing(nil).owner("anything") != "" {
-		t.Error("empty ring returned an owner")
+		if want := ids[2*k : 2*k+2]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s leased cells %v, want the oldest pending %v", w, got, want)
+		}
 	}
 }

@@ -137,9 +137,8 @@ type Cell struct {
 	// cell.
 	ID uint64 `json:"id"`
 	// Fingerprint is the cell's content-addressed cache key
-	// (runner.Job.Fingerprint); the coordinator shards on it and the
-	// worker probes its local cache with the rebuilt job before
-	// simulating.
+	// (runner.Job.Fingerprint); the worker probes its local cache with the
+	// rebuilt job, whose fingerprint equals it, before simulating.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Name is the configuration display name (runner.Job.Name).
 	Name string `json:"name"`
@@ -159,8 +158,7 @@ type Cell struct {
 // LeaseRequest is the body of POST /v1/lease: a worker asking the
 // coordinator for a batch of cells.
 type LeaseRequest struct {
-	// Worker is the caller's stable identity (also the consistent-hash
-	// ring key its cache affinity is computed from).
+	// Worker is the caller's stable identity.
 	Worker string `json:"worker"`
 	// Max caps the cells returned (0 = the coordinator's default batch).
 	Max int `json:"max,omitempty"`

@@ -298,7 +298,7 @@ func (s *Server) runnerCache() runner.Cache {
 // returns one outcome per job, per-cell errors included. It is the
 // worker daemon's executor for leased cells: a worker is exactly a
 // standalone server whose work arrives by lease instead of by HTTP run
-// request, which is what lets the fleet's caches behave as one tier.
+// request.
 func (s *Server) RunJobs(ctx context.Context, jobs []runner.Job) []runner.Outcome {
 	outs, _ := s.executeGrid(ctx, jobs, "", nil) // errors ride in the outcomes
 	return outs

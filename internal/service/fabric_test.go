@@ -504,7 +504,8 @@ func TestHeldWorkerStaysLive(t *testing.T) {
 // TestCoordinatorModeEndToEnd is the service-level fabric spine: a run
 // posted to a coordinator-mode daemon executes on a pulled worker over
 // the real HTTP lease protocol, and the /metrics fabric section reflects
-// it.
+// it. A repeat of the run is answered from the coordinator's cache and
+// never reaches the worker.
 func TestCoordinatorModeEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -540,6 +541,16 @@ func TestCoordinatorModeEndToEnd(t *testing.T) {
 	if m.CellsCompleted != 1 || m.CellsLocal != 0 {
 		t.Errorf("cell did not execute on the worker: %+v", m)
 	}
+
+	code, repeat, _ := postRun(t, ts.URL, smallRun)
+	if code != http.StatusOK || repeat.Status != StatusDone || repeat.CacheHits != 1 {
+		t.Fatalf("repeated run: code %d, status %s, %d cache hits, want done with 1",
+			code, repeat.Status, repeat.CacheHits)
+	}
+	if m := coord.Metrics(); m.CellsCompleted != 1 || m.CellsLocal != 0 {
+		t.Errorf("repeated cell left the coordinator's cache: %+v", m)
+	}
+
 	code, metrics := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics: code %d", code)
