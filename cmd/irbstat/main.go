@@ -109,9 +109,9 @@ func characterize(p workload.Profile, entries, assoc, victim int, insns uint64) 
 	}
 	m := fsim.New(prog)
 	var c counts
+	var r fsim.Retired
 	for i := uint64(0); i < insns && !m.Halted; i++ {
-		r, err := m.Step()
-		if err != nil {
+		if err := m.Step(&r); err != nil {
 			return counts{}, err
 		}
 		oi := r.Instr.Op.Info()

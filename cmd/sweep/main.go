@@ -41,13 +41,12 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (see package doc)")
-	fl := cliutil.RegisterExperimentFlags(flag.CommandLine, sim.DefaultInsns, "")
+	fl := cliutil.RegisterExperimentFlags(flag.CommandLine)
 	format := cliutil.Format(flag.CommandLine)
 	csv := flag.Bool("csv", false, "deprecated: alias for -format csv")
 	progress := flag.Bool("progress", false, "report live per-cell progress on stderr")

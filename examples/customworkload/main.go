@@ -52,9 +52,9 @@ func handWritten() {
 	}
 	// Verify the timing core against a functional execution as it runs.
 	oracle := fsim.New(prog)
+	var want fsim.Retired
 	c.OnCommit = func(rec *fsim.Retired) {
-		want, oerr := oracle.Step()
-		if oerr != nil || rec.Result != want.Result || rec.PC != want.PC {
+		if oerr := oracle.Step(&want); oerr != nil || rec.Result != want.Result || rec.PC != want.PC {
 			log.Fatalf("timing core diverged at pc %d", rec.PC)
 		}
 	}

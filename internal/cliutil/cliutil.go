@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -103,12 +104,12 @@ type ExperimentFlags struct {
 	CellTimeout *time.Duration
 }
 
-// RegisterExperimentFlags registers the shared grid flags on fs with the
-// given defaults (defBench empty means "all 12 benchmarks").
-func RegisterExperimentFlags(fs *flag.FlagSet, defInsns uint64, defBench string) *ExperimentFlags {
+// RegisterExperimentFlags registers the shared grid flags on fs. By
+// default a grid runs sim.DefaultInsns instructions on all 12 benchmarks.
+func RegisterExperimentFlags(fs *flag.FlagSet) *ExperimentFlags {
 	return &ExperimentFlags{
-		Insns:  Insns(fs, defInsns),
-		Bench:  Bench(fs, defBench, "comma-separated benchmark subset (default all 12)"),
+		Insns:  Insns(fs, sim.DefaultInsns),
+		Bench:  Bench(fs, "", "comma-separated benchmark subset (default all 12)"),
 		Verify: Verify(fs),
 		Jobs:   Jobs(fs),
 		CellTimeout: fs.Duration("cell-timeout", 0,

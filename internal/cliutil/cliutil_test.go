@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -110,7 +111,7 @@ func TestRenderFormats(t *testing.T) {
 
 func TestExperimentFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fl := RegisterExperimentFlags(fs, 12345, "")
+	fl := RegisterExperimentFlags(fs)
 	err := fs.Parse([]string{
 		"-insns", "777", "-bench", "gzip, mesa", "-verify",
 		"-j", "3", "-cell-timeout", "90s",
@@ -132,15 +133,15 @@ func TestExperimentFlags(t *testing.T) {
 
 func TestExperimentFlagsDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fl := RegisterExperimentFlags(fs, 12345, "bzip2")
+	fl := RegisterExperimentFlags(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
 	opts := fl.Options()
-	if opts.Insns != 12345 || opts.Verify || opts.CellTimeout != 0 {
+	if opts.Insns != sim.DefaultInsns || opts.Verify || opts.CellTimeout != 0 {
 		t.Fatalf("opts = %+v", opts)
 	}
-	if !reflect.DeepEqual(opts.Benchmarks, []string{"bzip2"}) {
-		t.Fatalf("benchmarks = %v", opts.Benchmarks)
+	if *fl.Bench != "" || opts.Benchmarks != nil {
+		t.Fatalf("bench = %q, benchmarks = %v, want no filter", *fl.Bench, opts.Benchmarks)
 	}
 }

@@ -133,6 +133,14 @@ type Core struct {
 	readyAt     []uint64
 	class       []isa.FUClass
 
+	// recs[i] is the functional record of the copy group whose primary
+	// occupies RUU slot i. Dispatch steps the front straight into it and
+	// every copy of the group points at it, so an instruction's record is
+	// written once however many copies carry it. It is the core's own
+	// copy, never the trace's: the Verify oracle checks each commit
+	// against the trace's record, which must not be the same memory.
+	recs []fsim.Retired
+
 	// acted records that a stage changed pipeline state in the current
 	// cycle. A cycle in which none did and whose ready set is empty
 	// repeats verbatim until an event, the fetch stall's end or a Run
@@ -228,6 +236,7 @@ func NewAt(cfg Config, m *fsim.Machine) (*Core, error) {
 		irbUntested:   make([]uint64, (cfg.RUUSize+63)/64),
 		readyAt:       make([]uint64, cfg.RUUSize),
 		class:         make([]isa.FUClass, cfg.RUUSize),
+		recs:          make([]fsim.Retired, cfg.RUUSize),
 	}
 	c.dupBuf = make([]*uop, c.streams-1)
 	if c.caps.Compare == CompareEpoch {
@@ -494,8 +503,9 @@ func (c *Core) dispatch() {
 
 		// Execute functionally at the dispatch front, exactly like
 		// sim-outorder: correct-path instructions advance the
-		// architectural machine, wrong-path ones run in the overlay.
-		var rec fsim.Retired
+		// architectural machine, wrong-path ones run in the overlay. The
+		// record goes to the slot the group's primary is about to take.
+		rec := &c.recs[c.ruu.idx(c.ruu.len())]
 		wrong := false
 		if !c.front.Spec() {
 			if c.front.Halted() {
@@ -514,14 +524,12 @@ func (c *Core) dispatch() {
 				// architected state, before the front advances.
 				c.trbBefore(fe.pc)
 			}
-			r, err := c.front.StepCorrect()
-			if err != nil {
+			if err := c.front.StepCorrect(rec); err != nil {
 				//nopanic:invariant the oracle already executed this instruction without error
 				panic(err)
 			}
-			rec = r
 		} else {
-			rec = c.front.StepSpecAt(fe.pc)
+			c.front.StepSpecAt(fe.pc, rec)
 			wrong = true
 		}
 		c.fq.popFront()
@@ -577,13 +585,13 @@ func (c *Core) dispatch() {
 			}
 		}
 		if c.tracer != nil {
-			c.tracer.Dispatch(c.cycle, primary.seq, false, wrong, &primary.rec)
+			c.tracer.Dispatch(c.cycle, primary.seq, false, wrong, primary.rec)
 			for _, dupU := range dups {
-				c.tracer.Dispatch(c.cycle, dupU.seq, true, wrong, &dupU.rec)
+				c.tracer.Dispatch(c.cycle, dupU.seq, true, wrong, dupU.rec)
 			}
 		}
 		if c.trb != nil && !wrong {
-			c.trbAfter(&primary.rec)
+			c.trbAfter(primary.rec)
 		}
 
 		// A correct-path control transfer whose prediction was wrong
@@ -603,11 +611,12 @@ func (c *Core) dispatch() {
 	}
 }
 
-// newUop builds one instruction copy at dispatch, applying operand fault
-// injection and starting the IRB lookup where the mode calls for it.
+// newUop builds one instruction copy of the group whose record is rec at
+// dispatch, applying operand fault injection and starting the IRB lookup
+// where the mode calls for it.
 //
 //lint:hotpath
-func (c *Core) newUop(fe *fetchEntry, rec fsim.Retired, wrong, dup bool) *uop {
+func (c *Core) newUop(fe *fetchEntry, rec *fsim.Retired, wrong, dup bool) *uop {
 	c.seq++
 	u := c.allocUop()
 	u.seq = c.seq
@@ -869,9 +878,9 @@ func (c *Core) trySelect(u *uop, pass int, slots *int, full *uint8) bool {
 			u.reuseHit = true
 			c.Stats.IRBReuseHits++
 			if c.tracer != nil {
-				c.tracer.ReuseHit(c.cycle, u.seq, &u.rec)
+				c.tracer.ReuseHit(c.cycle, u.seq, u.rec)
 			}
-			u.outSig = irbOutSig(&u.rec, u.irbEntry)
+			u.outSig = irbOutSig(u.rec, u.irbEntry)
 			c.ready[u.slot>>6] &^= 1 << (u.slot & 63)
 			return c.completeUop(u)
 		}
@@ -902,7 +911,7 @@ func (c *Core) trySelect(u *uop, pass int, slots *int, full *uint8) bool {
 		c.Stats.IRBNotReady++
 	}
 	if c.tracer != nil {
-		c.tracer.Issue(c.cycle, u.seq, u.dup, &u.rec)
+		c.tracer.Issue(c.cycle, u.seq, u.dup, u.rec)
 	}
 	u.state = uIssued
 	c.ready[u.slot>>6] &^= 1 << (u.slot & 63)
@@ -1031,7 +1040,7 @@ func (c *Core) writeback() {
 		}
 		switch e.kind {
 		case evExecDone:
-			u.outSig = outSignature(&u.rec, u.src1c, u.src2c)
+			u.outSig = outSignature(u.rec, u.src1c, u.src2c)
 			if c.inj != nil && u.rec.Instr.Op.Info().Class != isa.FUNone {
 				sig := c.inj.FUResult(u.rec.Seq, u.rec.PC, u.dup, u.outSig)
 				if sig != u.outSig {
@@ -1044,7 +1053,7 @@ func (c *Core) writeback() {
 			}
 		case evAddrDone:
 			u.addrReady = true
-			u.outSig = outSignature(&u.rec, u.src1c, u.src2c)
+			u.outSig = outSignature(u.rec, u.src1c, u.src2c)
 			if c.inj != nil {
 				sig := c.inj.FUResult(u.rec.Seq, u.rec.PC, u.dup, u.outSig)
 				if sig != u.outSig {
@@ -1082,7 +1091,7 @@ func (c *Core) completeUop(u *uop) bool {
 	u.state = uDone
 	u.completeCycle = c.cycle
 	if c.tracer != nil {
-		c.tracer.Complete(c.cycle, u.seq, u.dup, &u.rec)
+		c.tracer.Complete(c.cycle, u.seq, u.dup, u.rec)
 	}
 	wake := c.cycle
 	if u.reuseHit && !c.cfg.IRBChaining {
@@ -1191,7 +1200,7 @@ func (c *Core) harvestSquashed(maxSeq uint64) {
 		if u.dup || u.state != uDone || u.reuseHit || !irbReusable(u.rec.Instr) {
 			continue
 		}
-		e := irbEntryFor(&u.rec)
+		e := irbEntryFor(u.rec)
 		e.Ver1, e.Ver2 = u.ver1, u.ver2
 		c.reuse.Insert(c.cycle, u.rec.PC, e)
 	}
@@ -1333,7 +1342,7 @@ func (c *Core) voteCheck(head *uop, n int) bool {
 	case bestCnt == n:
 		// Unanimous: either clean, or every copy corrupted identically.
 		if corrupted {
-			if best == outSignature(&head.rec, head.rec.Src1, head.rec.Src2) {
+			if best == outSignature(head.rec, head.rec.Src1, head.rec.Src2) {
 				c.Stats.FaultsMasked++
 			} else {
 				c.Stats.FaultsSilent++
@@ -1341,7 +1350,7 @@ func (c *Core) voteCheck(head *uop, n int) bool {
 		}
 	case bestCnt > n/2:
 		c.Stats.FaultsDetected++
-		if best == outSignature(&head.rec, head.rec.Src1, head.rec.Src2) {
+		if best == outSignature(head.rec, head.rec.Src1, head.rec.Src2) {
 			c.Stats.FaultsCorrected++
 		} else {
 			c.Stats.FaultsSilent++
@@ -1358,7 +1367,7 @@ func (c *Core) voteCheck(head *uop, n int) bool {
 // predictor training, the single memory access of a store, IRB update, and
 // program completion.
 func (c *Core) retire(u, dupU *uop) {
-	rec := &u.rec
+	rec := u.rec
 	oi := rec.Instr.Op.Info()
 	c.Stats.Committed++
 	c.Stats.CopiesCommitted += uint64(c.streams)

@@ -98,8 +98,8 @@ func runVerified(t *testing.T, cfg Config, prog *program.Program) *Core {
 	}
 	oracle := fsim.New(prog)
 	c.OnCommit = func(rec *fsim.Retired) {
-		want, err := oracle.Step()
-		if err != nil {
+		var want fsim.Retired
+		if err := oracle.Step(&want); err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
 		if rec.Seq != want.Seq || rec.PC != want.PC || rec.Result != want.Result ||
@@ -443,8 +443,8 @@ func TestNewAtResumesMidProgram(t *testing.T) {
 	oracle := fsim.New(prog)
 	oracle.Run(100)
 	c.OnCommit = func(rec *fsim.Retired) {
-		want, oerr := oracle.Step()
-		if oerr != nil || rec.Seq != want.Seq || rec.Result != want.Result {
+		var want fsim.Retired
+		if oerr := oracle.Step(&want); oerr != nil || rec.Seq != want.Seq || rec.Result != want.Result {
 			t.Fatalf("mid-program resume diverged at seq %d", rec.Seq)
 		}
 	}

@@ -23,8 +23,8 @@ func commitStream(t *testing.T, cfg Config, prog *program.Program) ([]fsim.Retir
 	oracle := fsim.New(prog)
 	var stream []fsim.Retired
 	c.OnCommit = func(rec *fsim.Retired) {
-		want, oerr := oracle.Step()
-		if oerr != nil {
+		var want fsim.Retired
+		if oerr := oracle.Step(&want); oerr != nil {
 			t.Fatalf("oracle: %v", oerr)
 		}
 		if rec.Seq != want.Seq || rec.PC != want.PC || rec.Result != want.Result ||

@@ -18,7 +18,8 @@ const (
 
 // uop is one in-flight instruction copy. In DIE modes every architected
 // instruction dispatches as a pair of uops (primary and duplicate) sharing
-// one fsim.Retired record; the pair is compared at commit.
+// one fsim.Retired record, held in Core.recs at the primary's RUU slot;
+// the pair is compared at commit.
 //
 // uops are recycled through the core's free list rather than allocated per
 // instruction. gen counts recyclings: every reference that can outlive the
@@ -31,7 +32,7 @@ type uop struct {
 	seq  uint64 // global dispatch order
 	gen  uint32 // recycling generation (bumped on free)
 	slot int    // RUU buffer index, recorded at dispatch (ready-set bit)
-	rec  fsim.Retired
+	rec  *fsim.Retired
 	dup  bool
 	pair *uop // other member of the DIE pair (nil in SIE)
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/fsim"
 	"repro/internal/program"
 	"repro/internal/workload"
 )
@@ -18,15 +19,29 @@ import (
 // not run, the class to the copy's functional unit class, and readyAt to
 // the window dispatch and wakeup can write — at least the cycle after
 // dispatch, at most two cycles past the current one (a reuse hit's
-// one-cycle-late broadcast plus the inter-cluster cycle).
+// one-cycle-late broadcast plus the inter-cluster cycle). Every copy's
+// record is its group's one record, Core.recs at the slot of the group's
+// primary, which no other group in flight shares.
 func checkReadySet(t *testing.T, c *Core) {
 	t.Helper()
 	want := make([]uint64, len(c.ready))
+	recOwner := map[*fsim.Retired]uint64{} // record -> seq of its group's primary
 	for i := 0; i < c.ruu.len(); i++ {
 		u, slot := c.ruu.at(i), c.ruu.idx(i)
 		if u.slot != slot {
 			t.Fatalf("cycle %d: uop seq %d in slot %d records slot %d", c.cycle, u.seq, slot, u.slot)
 		}
+		primary := u
+		for primary.dup {
+			primary = primary.pair
+		}
+		if u.rec != &c.recs[primary.slot] {
+			t.Fatalf("cycle %d: uop seq %d's record is not the one at its primary's slot %d", c.cycle, u.seq, primary.slot)
+		}
+		if owner, ok := recOwner[u.rec]; ok && owner != primary.seq {
+			t.Fatalf("cycle %d: the groups of seq %d and seq %d share a record", c.cycle, owner, primary.seq)
+		}
+		recOwner[u.rec] = primary.seq
 		if u.state == uWaiting && u.waitCount == 0 {
 			want[slot>>6] |= 1 << (slot & 63)
 		}

@@ -56,7 +56,7 @@ func (e *UnrecoverableFaultError) Error() string {
 // the budget aborts the run with an UnrecoverableFaultError.
 func (c *Core) recoverFault(head, dupU *uop) {
 	pc := head.rec.PC
-	trueSig := outSignature(&head.rec, head.rec.Src1, head.rec.Src2)
+	trueSig := outSignature(head.rec, head.rec.Src1, head.rec.Src2)
 
 	// Scrub: the copy whose signature disagrees with the architected
 	// record is the corrupted one; if its value came from the reuse
@@ -112,7 +112,7 @@ func (c *Core) recoverFault(head, dupU *uop) {
 	recs := make([]fsim.Retired, 0, c.ruu.len()/2+1)
 	for i := 0; i < c.ruu.len(); i++ {
 		if u := c.ruu.at(i); !u.dup && !u.wrongPath {
-			recs = append(recs, u.rec)
+			recs = append(recs, *u.rec)
 		}
 	}
 	c.front.Rewind(recs)
@@ -152,7 +152,7 @@ func (c *Core) accountFaultOutcome(head *uop, dupU *uop) {
 	if !head.corrupted && (dupU == nil || !dupU.corrupted) {
 		return
 	}
-	if head.outSig == outSignature(&head.rec, head.rec.Src1, head.rec.Src2) {
+	if head.outSig == outSignature(head.rec, head.rec.Src1, head.rec.Src2) {
 		c.Stats.FaultsMasked++
 	} else {
 		c.Stats.FaultsSilent++

@@ -35,8 +35,8 @@ func runInjected(t *testing.T, cfg Config, prog *program.Program, inj FaultInjec
 	c.SetInjector(inj)
 	oracle := fsim.New(prog)
 	c.OnCommit = func(rec *fsim.Retired) {
-		want, err := oracle.Step()
-		if err != nil {
+		var want fsim.Retired
+		if err := oracle.Step(&want); err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
 		if rec.Seq != want.Seq || rec.PC != want.PC || rec.Result != want.Result ||

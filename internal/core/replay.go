@@ -43,7 +43,7 @@ func newReplayState(cfg Config) *replayState {
 // will surface at the epoch boundary).
 func (c *Core) replayObserve(head *uop) {
 	r := c.replay
-	rec := &head.rec
+	rec := head.rec
 	if rec.Instr.Op.Info().Class != isa.FUNone {
 		b := fuBucket(rec.Instr.Op)
 		if b == bucketMem {

@@ -587,15 +587,13 @@ func cellFromJob(j runner.Job) (api.Cell, bool) {
 			MaxFaults: spec.MaxFaults,
 		}
 	}
-	if key, err := j.Fingerprint(); err == nil {
-		wire.Fingerprint = key
-	}
 	return wire, true
 }
 
 // JobFromCell rebuilds the runner.Job a wire cell describes — the worker
-// side of cellFromJob. The rebuilt job fingerprints identically, so the
-// worker's cache probe uses the key the coordinator computed.
+// side of cellFromJob. The rebuilt job fingerprints exactly as the
+// coordinator's job does, so the key the worker's runner computes for its
+// own cache is the one a local run would use.
 func JobFromCell(c api.Cell) (runner.Job, error) {
 	opts := sim.Options{
 		Insns:       c.Insns,

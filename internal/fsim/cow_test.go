@@ -121,13 +121,14 @@ func TestWrongPathSeesOwnStores(t *testing.T) {
 	}
 	m := NewReplay(tr)
 	f := NewFront(m)
+	var r Retired
 	for f.PC() != load {
-		if _, err := f.StepCorrect(); err != nil {
+		if err := f.StepCorrect(&r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	f.EnterSpec()
-	if r := f.StepSpecAt(load); r.Result != 99 {
+	if f.StepSpecAt(load, &r); r.Result != 99 {
 		t.Errorf("wrong-path load of mem[base+8] = %d, want the machine's own 99", r.Result)
 	}
 	if got := NewReplay(tr).Mem.Read(base + 8); got != 2 {

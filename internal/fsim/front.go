@@ -21,8 +21,12 @@ import "repro/internal/isa"
 type Front struct {
 	M *Machine
 
+	// The wrong-path overlay: specRegs[r] holds register r's wrong-path
+	// value when bit r of specLive is set, and the machine's register
+	// holds it otherwise; specMem holds the wrong-path stores by address.
 	spec     bool
-	specRegs map[isa.Reg]uint64
+	specLive uint64
+	specRegs [isa.NumRegs]uint64
 	specMem  map[uint64]uint64
 
 	// rewind[rewindPos:] holds flushed correct-path records awaiting
@@ -31,13 +35,13 @@ type Front struct {
 	rewindPos int
 }
 
+// specLive holds one bit per architected register; this constant stops
+// the build if there are ever more than 64.
+const _ uint = 64 - isa.NumRegs
+
 // NewFront wraps m.
 func NewFront(m *Machine) *Front {
-	return &Front{
-		M:        m,
-		specRegs: make(map[isa.Reg]uint64),
-		specMem:  make(map[uint64]uint64),
-	}
+	return &Front{M: m, specMem: make(map[uint64]uint64)}
 }
 
 // Spec reports whether the front is executing down a wrong path.
@@ -87,21 +91,21 @@ func throw(msg string) {
 	panic(msg)
 }
 
-// StepCorrect executes the next correct-path instruction. It must not be
-// called while in speculative mode.
-func (f *Front) StepCorrect() (Retired, error) {
+// StepCorrect executes the next correct-path instruction and writes its
+// record to r. It must not be called while in speculative mode.
+func (f *Front) StepCorrect(r *Retired) error {
 	if f.spec {
 		throw("fsim: StepCorrect during speculative mode")
 	}
 	if f.rewindPos < len(f.rewind) {
-		r := f.rewind[f.rewindPos]
+		*r = f.rewind[f.rewindPos]
 		f.rewindPos++
 		if f.rewindPos == len(f.rewind) {
 			f.rewind, f.rewindPos = f.rewind[:0], 0
 		}
-		return r, nil
+		return nil
 	}
-	return f.M.Step()
+	return f.M.Step(r)
 }
 
 // EnterSpec switches the front to wrong-path execution. The core calls it
@@ -119,34 +123,35 @@ func (f *Front) EnterSpec() {
 // recovery logic which squashes unconditionally.
 func (f *Front) Squash() {
 	f.spec = false
-	clear(f.specRegs)
+	f.specLive = 0
 	clear(f.specMem)
 }
 
 // StepSpecAt executes the instruction at pc against the speculative
-// overlay. Unlike StepCorrect the caller chooses the PC: wrong-path fetch
-// follows the branch predictor, not the computed next PC.
-func (f *Front) StepSpecAt(pc uint64) Retired {
+// overlay and writes its record to r. Unlike StepCorrect the caller
+// chooses the PC: wrong-path fetch follows the branch predictor, not the
+// computed next PC.
+func (f *Front) StepSpecAt(pc uint64, r *Retired) {
 	if !f.spec {
 		throw("fsim: StepSpecAt outside speculative mode")
 	}
 	in := f.M.Prog.Fetch(pc)
-	r := exec(in, pc, f.readSpec, specMemReader{f})
+	exec(r, in, pc, f.readSpec, specMemReader{f})
 	if in.Op.Info().HasDest && in.Dest != isa.ZeroReg {
 		f.specRegs[in.Dest] = r.Result
+		f.specLive |= 1 << in.Dest
 	}
 	if in.Op.Info().IsStore {
-		f.specMem[r.Addr] = r.StoreVal
+		f.specMem[r.Addr] = r.Src2
 	}
-	return r
 }
 
 func (f *Front) readSpec(r isa.Reg) uint64 {
 	if r == isa.ZeroReg {
 		return 0
 	}
-	if v, ok := f.specRegs[r]; ok {
-		return v
+	if f.specLive&(1<<r) != 0 {
+		return f.specRegs[r]
 	}
 	return f.M.Regs[r]
 }

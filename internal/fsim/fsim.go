@@ -26,19 +26,23 @@ import (
 // resolved. The timing core carries Retired records through the pipeline:
 // operand values feed the IRB reuse test, results feed the commit-time
 // check-&-retire comparison of DIE, and NextPC feeds branch resolution.
+//
+// A record is 72 bytes and written once, into storage its consumer owns:
+// the stepping functions fill a *Retired they are handed instead of
+// returning one, so a trace entry or a core's per-group slot is the only
+// copy. The two flags sit together at the end, where they share one word.
 type Retired struct {
 	Seq   uint64 // 1-based dynamic instruction number (0 for wrong-path)
 	PC    uint64
 	Instr isa.Instr
 
-	Src1, Src2 uint64 // operand values read (bit patterns for FP)
+	Src1, Src2 uint64 // operand values read (bit patterns for FP); a store writes Src2
 	Result     uint64 // value written to Dest (loads: loaded value)
 	Addr       uint64 // effective address for loads/stores
-	StoreVal   uint64 // value written to memory for stores
+	NextPC     uint64 // PC of the next instruction in program order
 
-	Taken  bool   // conditional branch outcome
-	NextPC uint64 // PC of the next instruction in program order
-	Halt   bool   // instruction was OpHalt
+	Taken bool // conditional branch outcome
+	Halt  bool // instruction was OpHalt
 }
 
 // Machine is the architectural state of one program execution.
@@ -69,53 +73,44 @@ func New(prog *program.Program) *Machine {
 	return m
 }
 
-// Step executes the instruction at the current PC and returns its record.
-// Calling Step on a halted machine returns an error.
-func (m *Machine) Step() (Retired, error) {
+// Step executes the instruction at the current PC and writes its record
+// to r. Calling Step on a halted machine returns an error and leaves r
+// untouched.
+func (m *Machine) Step(r *Retired) error {
 	if m.Halted {
-		return Retired{}, fmt.Errorf("fsim: step on halted machine %q at pc=%d", m.Prog.Name, m.PC)
+		return fmt.Errorf("fsim: step on halted machine %q at pc=%d", m.Prog.Name, m.PC)
 	}
-	if t := m.replay; t != nil {
-		if m.replayPos < len(t.recs) {
-			r := t.recs[m.replayPos]
-			m.replayPos++
-			m.Count++
-			applyRegs(&m.Regs, r.Instr, r.Result)
-			if r.Instr.Op.Info().IsStore {
-				m.Mem.Write(r.Addr, r.StoreVal)
-			}
-			m.PC = r.NextPC
-			if r.Halt {
-				m.Halted = true
-			}
-			return r, nil
-		}
-		// Trace exhausted: the architectural state is exactly the
-		// capture machine's at the same point, so interpretation
+	if t := m.replay; t != nil && m.replayPos < len(t.recs) {
+		*r = t.recs[m.replayPos]
+		m.replayPos++
+		m.Count++
+	} else {
+		// Past a replayed trace's end the architectural state is exactly
+		// the capture machine's at the same point, so interpretation
 		// continues seamlessly.
 		m.replay = nil
+		exec(r, m.Prog.Fetch(m.PC), m.PC, regReader(&m.Regs), m.Mem)
+		m.Count++
+		r.Seq = m.Count
 	}
-	in := m.Prog.Fetch(m.PC)
-	r := exec(in, m.PC, regReader(&m.Regs), m.Mem)
-	m.Count++
-	r.Seq = m.Count
-	applyRegs(&m.Regs, in, r.Result)
-	if in.Op.Info().IsStore {
-		m.Mem.Write(r.Addr, r.StoreVal)
+	applyRegs(&m.Regs, r.Instr, r.Result)
+	if r.Instr.Op.Info().IsStore {
+		m.Mem.Write(r.Addr, r.Src2)
 	}
 	m.PC = r.NextPC
 	if r.Halt {
 		m.Halted = true
 	}
-	return r, nil
+	return nil
 }
 
 // Run executes until the machine halts or maxInstrs instructions have
 // retired, returning the number retired.
 func (m *Machine) Run(maxInstrs uint64) (uint64, error) {
 	start := m.Count
+	var r Retired
 	for !m.Halted && m.Count-start < maxInstrs {
-		if _, err := m.Step(); err != nil {
+		if err := m.Step(&r); err != nil {
 			return m.Count - start, err
 		}
 	}
@@ -140,11 +135,12 @@ func applyRegs(regs *[isa.NumRegs]uint64, in isa.Instr, result uint64) {
 }
 
 // exec evaluates one instruction at pc with operand values supplied by
-// read and memory reads served by mem. It performs no state updates; the
-// caller applies register, memory and PC effects from the returned record.
-func exec(in isa.Instr, pc uint64, read func(isa.Reg) uint64, mem memReader) Retired {
+// read and memory reads served by mem, overwriting every field of r but
+// Seq, which it zeroes. It performs no state updates; the caller applies
+// register, memory and PC effects from the record.
+func exec(r *Retired, in isa.Instr, pc uint64, read func(isa.Reg) uint64, mem memReader) {
 	oi := in.Op.Info()
-	r := Retired{PC: pc, Instr: in, NextPC: pc + 1}
+	*r = Retired{PC: pc, Instr: in, NextPC: pc + 1}
 	if oi.UsesSrc1 {
 		r.Src1 = read(in.Src1)
 	}
@@ -157,7 +153,6 @@ func exec(in isa.Instr, pc uint64, read func(isa.Reg) uint64, mem memReader) Ret
 		r.Result = mem.Read(r.Addr)
 	case oi.IsStore:
 		r.Addr = isa.EffAddr(r.Src1, in.Imm)
-		r.StoreVal = r.Src2
 	case oi.IsBranch:
 		r.Taken = isa.EvalBranch(in.Op, r.Src1, r.Src2)
 		if r.Taken {
@@ -173,7 +168,6 @@ func exec(in isa.Instr, pc uint64, read func(isa.Reg) uint64, mem memReader) Ret
 	case oi.HasDest:
 		r.Result = isa.Exec(in.Op, r.Src1, r.Src2, in.Imm, pc)
 	}
-	return r
 }
 
 type memReader interface {

@@ -3,6 +3,7 @@ package fsim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/program"
@@ -102,11 +103,21 @@ func TestStepOnHaltedErrors(t *testing.T) {
 	b := program.NewBuilder("halt")
 	b.Emit(isa.Instr{Op: isa.OpHalt})
 	m := New(b.MustBuild())
-	if _, err := m.Step(); err != nil {
+	var r Retired
+	if err := m.Step(&r); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Step(); err == nil {
+	if err := m.Step(&r); err == nil {
 		t.Error("Step on halted machine did not error")
+	}
+}
+
+// TestRetiredSize pins the record's size: the trace holds one per
+// instruction and the core writes one per copy group, so a new field or a
+// flag that breaks the packing of the two bools shows here.
+func TestRetiredSize(t *testing.T) {
+	if got := unsafe.Sizeof(Retired{}); got != 72 {
+		t.Errorf("unsafe.Sizeof(Retired{}) = %d, want 72", got)
 	}
 }
 
@@ -122,25 +133,27 @@ func TestRetiredRecordFields(t *testing.T) {
 	b.Emit(isa.Instr{Op: isa.OpHalt})
 	m := New(b.MustBuild())
 
-	r0, _ := m.Step()
-	if r0.Seq != 1 || r0.PC != 0 {
-		t.Errorf("first record: seq=%d pc=%d", r0.Seq, r0.PC)
+	// One record is reused throughout: each step must overwrite it whole.
+	var r Retired
+	m.Step(&r)
+	if r.Seq != 1 || r.PC != 0 {
+		t.Errorf("first record: seq=%d pc=%d", r.Seq, r.PC)
 	}
-	rLoad, _ := m.Step()
-	if rLoad.Addr != addr || rLoad.Result != 5 {
-		t.Errorf("load record: addr=%d result=%d", rLoad.Addr, rLoad.Result)
+	m.Step(&r)
+	if r.Addr != addr || r.Result != 5 {
+		t.Errorf("load record: addr=%d result=%d", r.Addr, r.Result)
 	}
-	rAdd, _ := m.Step()
-	if rAdd.Src1 != 5 || rAdd.Src2 != 5 || rAdd.Result != 10 {
-		t.Errorf("add record: %+v", rAdd)
+	m.Step(&r)
+	if r.Src1 != 5 || r.Src2 != 5 || r.Result != 10 || r.Addr != 0 {
+		t.Errorf("add record: %+v", r)
 	}
-	rBr, _ := m.Step()
-	if !rBr.Taken || rBr.NextPC != 5 {
-		t.Errorf("branch record: taken=%v next=%d", rBr.Taken, rBr.NextPC)
+	m.Step(&r)
+	if !r.Taken || r.NextPC != 5 || r.Result != 0 {
+		t.Errorf("branch record: taken=%v next=%d result=%d", r.Taken, r.NextPC, r.Result)
 	}
-	rHalt, _ := m.Step()
-	if !rHalt.Halt {
-		t.Error("halt record not marked")
+	m.Step(&r)
+	if !r.Halt || r.Taken {
+		t.Errorf("halt record: halt=%v taken=%v", r.Halt, r.Taken)
 	}
 }
 
@@ -154,12 +167,13 @@ func TestFrontSpecOverlay(t *testing.T) {
 	b.Emit(isa.Instr{Op: isa.OpHalt})                    // pc 4
 	f := NewFront(New(b.MustBuild()))
 
-	if _, err := f.StepCorrect(); err != nil { // pc 0
+	var r Retired
+	if err := f.StepCorrect(&r); err != nil { // pc 0
 		t.Fatal(err)
 	}
-	r1, _ := f.StepCorrect() // pc 1: r2 = 1
-	if r1.Result != 1 {
-		t.Fatalf("r2 = %d", r1.Result)
+	f.StepCorrect(&r) // pc 1: r2 = 1
+	if r.Result != 1 {
+		t.Fatalf("r2 = %d", r.Result)
 	}
 
 	// Pretend pc 1 was a mispredicted branch: go down a wrong path that
@@ -168,11 +182,11 @@ func TestFrontSpecOverlay(t *testing.T) {
 	if !f.Spec() {
 		t.Fatal("Spec() = false after EnterSpec")
 	}
-	sr := f.StepSpecAt(2) // wrong path executes pc2: r3 = 2
-	if sr.Result != 2 {
-		t.Errorf("spec r3 = %d", sr.Result)
+	f.StepSpecAt(2, &r) // wrong path executes pc2: r3 = 2
+	if r.Result != 2 {
+		t.Errorf("spec r3 = %d", r.Result)
 	}
-	f.StepSpecAt(3) // wrong path store mem[addr] = 2
+	f.StepSpecAt(3, &r) // wrong path store mem[addr] = 2
 	// Wrong-path effects must be visible inside the overlay...
 	if got := (specMemReader{f}).Read(addr); got != 2 {
 		t.Errorf("spec mem read = %d, want 2", got)
@@ -189,13 +203,19 @@ func TestFrontSpecOverlay(t *testing.T) {
 	if f.Spec() {
 		t.Error("Spec() = true after Squash")
 	}
-	// Correct path resumes where it left off (pc 2).
-	r2, _ := f.StepCorrect()
-	if r2.PC != 2 || r2.Result != 2 {
-		t.Errorf("post-squash step: %+v", r2)
+	// A later wrong path starts from the architected registers, not the
+	// squashed path's r3.
+	f.EnterSpec()
+	if f.StepSpecAt(3, &r); r.Src2 != 0 {
+		t.Errorf("wrong path after a squash reads r3 = %d, want the architected 0", r.Src2)
 	}
-	r3, _ := f.StepCorrect() // the real store
-	_ = r3
+	f.Squash()
+	// Correct path resumes where it left off (pc 2).
+	f.StepCorrect(&r)
+	if r.PC != 2 || r.Result != 2 {
+		t.Errorf("post-squash step: %+v", r)
+	}
+	f.StepCorrect(&r) // the real store
 	if got := f.M.Mem.Read(addr); got != 2 {
 		t.Errorf("mem after real store = %d", got)
 	}
@@ -207,10 +227,11 @@ func TestFrontSpecReadsThroughToArchState(t *testing.T) {
 	b.EmitOp(isa.OpAdd, 2, 1, 1)   // pc 1
 	b.Emit(isa.Instr{Op: isa.OpHalt})
 	f := NewFront(New(b.MustBuild()))
-	f.StepCorrect()
+	var r Retired
+	f.StepCorrect(&r)
 	f.EnterSpec()
 	// Wrong path reads r1, which only exists in architected state.
-	r := f.StepSpecAt(1)
+	f.StepSpecAt(1, &r)
 	if r.Result != 14 {
 		t.Errorf("spec add = %d, want 14", r.Result)
 	}
@@ -229,10 +250,11 @@ func TestFrontPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("StepSpecAt outside spec", func() { f.StepSpecAt(0) })
+	var r Retired
+	mustPanic("StepSpecAt outside spec", func() { f.StepSpecAt(0, &r) })
 	f.EnterSpec()
 	mustPanic("nested EnterSpec", func() { f.EnterSpec() })
-	mustPanic("StepCorrect during spec", func() { f.StepCorrect() })
+	mustPanic("StepCorrect during spec", func() { f.StepCorrect(&r) })
 }
 
 func TestMemorySparse(t *testing.T) {
@@ -299,11 +321,12 @@ func TestFrontAccessors(t *testing.T) {
 	if f.PC() != 0 || f.Halted() {
 		t.Error("fresh front state wrong")
 	}
-	f.StepCorrect()
+	var r Retired
+	f.StepCorrect(&r)
 	if f.PC() != 1 {
 		t.Errorf("PC = %d after one step", f.PC())
 	}
-	f.StepCorrect()
+	f.StepCorrect(&r)
 	if !f.Halted() {
 		t.Error("front not halted after halt retired")
 	}

@@ -24,13 +24,11 @@ func rewindProgram() *program.Program {
 // StepCorrect again, verbatim and in order, before the machine resumes.
 func TestRewindReplaysRecords(t *testing.T) {
 	f := NewFront(New(rewindProgram()))
-	var recs []Retired
-	for i := 0; i < 8; i++ {
-		r, err := f.StepCorrect()
-		if err != nil {
+	recs := make([]Retired, 8)
+	for i := range recs {
+		if err := f.StepCorrect(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
-		recs = append(recs, r)
 	}
 
 	// Flush the last five as a fault recovery would.
@@ -42,12 +40,12 @@ func TestRewindReplaysRecords(t *testing.T) {
 	if f.PC() != flushed[0].PC {
 		t.Errorf("PC() = %d, want the rewind head %d", f.PC(), flushed[0].PC)
 	}
-	for i, want := range flushed {
-		got, err := f.StepCorrect()
-		if err != nil {
+	var got, want Retired
+	for i := range flushed {
+		if err := f.StepCorrect(&got); err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
+		if want = flushed[i]; got != want {
 			t.Fatalf("replayed record %d differs:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
@@ -58,17 +56,15 @@ func TestRewindReplaysRecords(t *testing.T) {
 	// Execution continues on the machine: same stream as an unflushed run.
 	ref := NewFront(New(rewindProgram()))
 	for range recs {
-		if _, err := ref.StepCorrect(); err != nil {
+		if err := ref.StepCorrect(&want); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for !ref.Halted() {
-		want, err := ref.StepCorrect()
-		if err != nil {
+		if err := ref.StepCorrect(&want); err != nil {
 			t.Fatal(err)
 		}
-		got, err := f.StepCorrect()
-		if err != nil {
+		if err := f.StepCorrect(&got); err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
@@ -86,8 +82,8 @@ func TestRewindDefersHalt(t *testing.T) {
 	f := NewFront(New(rewindProgram()))
 	var recs []Retired
 	for !f.Halted() {
-		r, err := f.StepCorrect()
-		if err != nil {
+		var r Retired
+		if err := f.StepCorrect(&r); err != nil {
 			t.Fatal(err)
 		}
 		recs = append(recs, r)
@@ -100,8 +96,9 @@ func TestRewindDefersHalt(t *testing.T) {
 	if f.PC() != last[0].PC {
 		t.Errorf("PC() = %d, want %d", f.PC(), last[0].PC)
 	}
+	var r Retired
 	for range last {
-		if _, err := f.StepCorrect(); err != nil {
+		if err := f.StepCorrect(&r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,24 +112,22 @@ func TestRewindDefersHalt(t *testing.T) {
 // Squash leaving the queue intact.
 func TestRewindSurvivesSpecSquash(t *testing.T) {
 	f := NewFront(New(rewindProgram()))
-	r1, err := f.StepCorrect()
-	if err != nil {
+	var r1, r2, got Retired
+	if err := f.StepCorrect(&r1); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := f.StepCorrect()
-	if err != nil {
+	if err := f.StepCorrect(&r2); err != nil {
 		t.Fatal(err)
 	}
 	f.Rewind([]Retired{r1, r2})
 
 	f.EnterSpec()
-	f.StepSpecAt(r1.PC)
+	f.StepSpecAt(r1.PC, &got)
 	f.Squash()
 	if got := f.Rewinding(); got != 2 {
 		t.Fatalf("Squash dropped the rewind queue: %d left, want 2", got)
 	}
-	got, err := f.StepCorrect()
-	if err != nil {
+	if err := f.StepCorrect(&got); err != nil {
 		t.Fatal(err)
 	}
 	if got != r1 {

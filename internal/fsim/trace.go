@@ -48,12 +48,12 @@ func Capture(prog *program.Program, maxInstrs uint64) (*Trace, error) {
 	// first store exactly as a replay machine does.
 	t.image = m.Mem
 	m.Mem = &Memory{pages: maps.Clone(t.image.pages)}
-	for uint64(len(t.recs)) < maxInstrs && !m.Halted {
-		r, err := m.Step()
-		if err != nil {
+	for n := 0; uint64(n) < maxInstrs && !m.Halted; n++ {
+		// Step straight into the trace's next entry.
+		t.recs = append(t.recs, Retired{})
+		if err := m.Step(&t.recs[n]); err != nil {
 			return nil, fmt.Errorf("fsim: capture of %q: %w", prog.Name, err)
 		}
-		t.recs = append(t.recs, r)
 	}
 	return t, nil
 }

@@ -47,9 +47,9 @@ func TestCaptureMatchesDirectExecution(t *testing.T) {
 	}
 	m := New(prog)
 	cur := tr.Replay()
+	var want Retired
 	for i := uint64(0); i < tr.Len(); i++ {
-		want, err := m.Step()
-		if err != nil {
+		if err := m.Step(&want); err != nil {
 			t.Fatal(err)
 		}
 		got, ok := cur.Next()
@@ -72,9 +72,10 @@ func TestReplayMachineStateMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct, replay := New(prog), NewReplay(tr)
+	var dr, rr Retired
 	for !direct.Halted {
-		dr, derr := direct.Step()
-		rr, rerr := replay.Step()
+		derr := direct.Step(&dr)
+		rerr := replay.Step(&rr)
 		if derr != nil || rerr != nil {
 			t.Fatalf("step errors: direct=%v replay=%v", derr, rerr)
 		}
@@ -105,10 +106,10 @@ func TestReplayFallsBackToInterpretation(t *testing.T) {
 		t.Error("a truncated trace must not claim to cover a larger budget")
 	}
 	direct, replay := New(prog), NewReplay(tr)
+	var dr, rr Retired
 	for !direct.Halted {
-		dr, _ := direct.Step()
-		rr, rerr := replay.Step()
-		if rerr != nil {
+		direct.Step(&dr)
+		if rerr := replay.Step(&rr); rerr != nil {
 			t.Fatal(rerr)
 		}
 		if dr != rr {

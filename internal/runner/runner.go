@@ -19,6 +19,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -89,43 +90,97 @@ func (j Job) traceKey() traceKey {
 	return traceKey{j.Profile, insns, j.Opts.FastForward, j.Opts.Seed, j.Opts.Program}
 }
 
-// AttachTraces captures one functional-execution trace per distinct
-// workload among jobs and installs it as Options.Trace on every cell that
-// runs that workload. A grid of B benchmarks × C configurations then
-// generates and interprets each program once instead of C times; the
-// traces are immutable and shared read-only across workers. Jobs that
-// already carry a trace are left untouched, so callers can pre-seed
-// specific cells. On error the jobs already processed keep their traces —
-// attaching is idempotent and safe to retry.
-// Run itself traces only workloads that repeat among its cache misses.
-func AttachTraces(jobs []Job) error {
-	traces := make(map[traceKey]*fsim.Trace)
+// captured is the outcome of one workload's trace capture.
+type captured struct {
+	trace *fsim.Trace
+	err   error
+}
+
+// captureTraces captures one trace per distinct workload among the jobs
+// pick selects, running up to workers captures at once, and returns each
+// selected job's capture by job index (the zero value for the others). A
+// capture not yet started when ctx ends is skipped and its jobs get the
+// zero value. pick is called once per job, before any capture starts.
+func captureTraces(ctx context.Context, jobs []Job, pick func(int) bool, workers int) []captured {
+	src := make([]int, len(jobs)) // the job whose capture job i takes, or -1
+	first := make(map[traceKey]int)
+	var order []int // each workload's first selected job, in job order
 	for i := range jobs {
-		j := &jobs[i]
-		if j.Opts.Trace != nil {
+		src[i] = -1
+		if !pick(i) {
 			continue
 		}
-		k := j.traceKey()
-		tr, ok := traces[k]
+		k := jobs[i].traceKey()
+		f, ok := first[k]
 		if !ok {
-			var err error
-			tr, err = sim.CaptureTrace(j.Profile, j.Opts)
-			if err != nil {
-				return fmt.Errorf("runner: capturing trace for %s: %w", j.Profile.Name, err)
-			}
-			traces[k] = tr
+			f = i
+			first[k] = i
+			order = append(order, i)
 		}
-		j.Opts.Trace = tr
+		src[i] = f
 	}
-	return nil
+	caps := make([]captured, len(jobs))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < min(workers, len(order)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				n := next.Add(1) - 1
+				if n >= int64(len(order)) {
+					return
+				}
+				f := order[n]
+				tr, err := sim.CaptureTrace(jobs[f].Profile, jobs[f].Opts)
+				caps[f] = captured{tr, err}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, f := range src {
+		if f >= 0 {
+			caps[i] = caps[f]
+		}
+	}
+	return caps
+}
+
+// AttachTraces captures one functional-execution trace per distinct
+// workload among jobs, on GOMAXPROCS goroutines, and installs it as
+// Options.Trace on every cell that runs that workload. A grid of B
+// benchmarks × C configurations then generates and interprets each
+// program once instead of C times; the traces are immutable and shared
+// read-only across workers. Jobs that already carry a trace are left
+// untouched, so callers can pre-seed specific cells. A failed capture
+// does not stop the others: every workload that captured gets its trace,
+// and the error returned is that of the first failed cell in job order.
+// Attaching is idempotent and safe to retry.
+// Run itself traces only workloads that repeat among its cache misses.
+func AttachTraces(jobs []Job) error {
+	untraced := func(i int) bool { return jobs[i].Opts.Trace == nil }
+	caps := captureTraces(context.TODO(), jobs, untraced, runtime.GOMAXPROCS(0))
+	var err error
+	for i := range jobs {
+		switch c := caps[i]; {
+		case c.trace != nil:
+			jobs[i].Opts.Trace = c.trace
+		case c.err != nil && err == nil:
+			err = fmt.Errorf("runner: capturing trace for %s: %w", jobs[i].Profile.Name, c.err)
+		}
+	}
+	return err
 }
 
 // shareTraces captures one trace for each workload that at least two of
-// the untraced cells to run execute, and installs it on those cells. A
-// lone cell would be its trace's only reader, so it interprets directly.
-// The traces go on a copy of jobs, never the caller's slice. A workload
-// whose capture fails stays untraced; its cells then fail on their own.
-func shareTraces(ctx context.Context, jobs []Job, toRun func(int) bool) []Job {
+// the untraced cells to run execute, on up to workers goroutines, and
+// installs it on those cells. A lone cell would be its trace's only
+// reader, so it interprets directly. The traces go on a copy of jobs,
+// never the caller's slice. A workload whose capture fails stays
+// untraced; its cells then fail on their own.
+func shareTraces(ctx context.Context, jobs []Job, toRun func(int) bool, workers int) []Job {
 	untraced := func(i int) bool { return toRun(i) && jobs[i].Opts.Trace == nil }
 	runs := make(map[traceKey]int)
 	for i := range jobs {
@@ -133,24 +188,16 @@ func shareTraces(ctx context.Context, jobs []Job, toRun func(int) bool) []Job {
 			runs[jobs[i].traceKey()]++
 		}
 	}
-	traces := make(map[traceKey]*fsim.Trace)
+	repeated := func(i int) bool { return untraced(i) && runs[jobs[i].traceKey()] >= 2 }
 	var shared []Job
-	for i, j := range jobs {
-		k := j.traceKey()
-		if !untraced(i) || runs[k] < 2 || ctx.Err() != nil {
+	for i, c := range captureTraces(ctx, jobs, repeated, workers) {
+		if c.trace == nil {
 			continue
 		}
-		tr, ok := traces[k]
-		if !ok {
-			tr, _ = sim.CaptureTrace(j.Profile, j.Opts) // nil on failure
-			traces[k] = tr
+		if shared == nil {
+			shared = slices.Clone(jobs)
 		}
-		if tr != nil {
-			if shared == nil {
-				shared = slices.Clone(jobs)
-			}
-			shared[i].Opts.Trace = tr
-		}
+		shared[i].Opts.Trace = c.trace
 	}
 	if shared == nil {
 		return jobs
@@ -416,7 +463,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 	// get none; jobs may now be Run's own copy (outs hold the caller's).
 	toRun := func(i int) bool { return !outs[i].CacheHit }
 	if opts.Execute == nil {
-		jobs = shareTraces(ctx, jobs, toRun)
+		jobs = shareTraces(ctx, jobs, toRun, workers)
 	}
 
 	// The batch planner groups cells that are identical up to their fault

@@ -6,6 +6,9 @@ package runner
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -168,5 +171,106 @@ func TestRunSharesAfterCacheLookup(t *testing.T) {
 	}
 	if got["plain"] != nil {
 		t.Error("a cell whose only peer carries its own trace was given one")
+	}
+}
+
+// captureGrid is three workloads × four configurations plus two invalid
+// profiles of two cells each (ArrayWords 17 fails workload.Profile.Validate)
+// placed among them. Its first cell carries its own pre-captured trace.
+// Cell names are unique, so a recorder can tell the cells apart.
+func captureGrid(t *testing.T) []Job {
+	t.Helper()
+	cfgs := []core.Config{core.BaseSIE(), core.BaseDIE(), core.BaseDIEIRB(), core.BaseDIE().WithDoubledALUs()}
+	profile := func(name string) workload.Profile {
+		p, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("unknown benchmark %q", name)
+		}
+		return p
+	}
+	invalid := func(name string) workload.Profile {
+		p := profile("gzip")
+		p.Name, p.ArrayWords = name, 17
+		return p
+	}
+	var jobs []Job
+	for _, p := range []workload.Profile{profile("gzip"), invalid("bad-1"), profile("bzip2"), invalid("bad-2"), profile("mesa")} {
+		n := len(cfgs)
+		if p.ArrayWords == 17 {
+			n = 2
+		}
+		for c := 0; c < n; c++ {
+			jobs = append(jobs, Job{Name: fmt.Sprintf("%s/%d", p.Name, c), Config: cfgs[c], Profile: p, Opts: sim.Options{Insns: 2_000}})
+		}
+	}
+	own, err := sim.CaptureTrace(jobs[0].Profile, jobs[0].Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs[0].Opts.Trace = own
+	return jobs
+}
+
+// checkGridTraces holds the traces the cells of captureGrid ran with
+// (traceOf) to one trace per valid workload, shared by all of its cells
+// but the pre-seeded one, which keeps own; invalid cells get none.
+func checkGridTraces(t *testing.T, jobs []Job, traceOf func(int) *fsim.Trace, own *fsim.Trace) {
+	t.Helper()
+	byBench := map[string]*fsim.Trace{}
+	distinct := map[*fsim.Trace]bool{own: true}
+	for i, j := range jobs {
+		tr := traceOf(i)
+		switch {
+		case i == 0:
+			if tr != own {
+				t.Errorf("the pre-seeded cell %s runs with another trace", j.Name)
+			}
+		case j.Profile.ArrayWords == 17:
+			if tr != nil {
+				t.Errorf("invalid cell %s was given a trace", j.Name)
+			}
+		case tr == nil:
+			t.Errorf("cell %s was given no trace", j.Name)
+		default:
+			if prev, ok := byBench[j.Profile.Name]; ok && prev != tr {
+				t.Errorf("cells of %s got different traces", j.Profile.Name)
+			}
+			byBench[j.Profile.Name] = tr
+			distinct[tr] = true
+		}
+	}
+	if len(byBench) != 3 || len(distinct) != 4 {
+		t.Errorf("%d workloads traced with %d distinct traces besides the pre-seeded one, want 3 and 3",
+			len(byBench), len(distinct)-1)
+	}
+}
+
+// TestCaptureTracesOnePerWorkload: AttachTraces and Run's sharing, each
+// capturing the distinct workloads concurrently, give all cells of a
+// valid workload one trace, leave a pre-seeded trace alone and invalid
+// profiles untraced; on every repeat AttachTraces attaches every trace
+// it captured and returns the first invalid profile's error in job order.
+func TestCaptureTracesOnePerWorkload(t *testing.T) {
+	grid := captureGrid(t)
+	own := grid[0].Opts.Trace
+	for rep := 0; rep < 20; rep++ {
+		jobs := slices.Clone(grid)
+		err := AttachTraces(jobs)
+		if err == nil || !strings.Contains(err.Error(), "capturing trace for bad-1:") {
+			t.Fatalf("repeat %d: AttachTraces() = %v, want the capture error of bad-1", rep, err)
+		}
+		checkGridTraces(t, jobs, func(i int) *fsim.Trace { return jobs[i].Opts.Trace }, own)
+	}
+
+	seen := recordTraces(t)
+	if _, err := Run(context.Background(), grid, Options{Parallelism: 2}); err != nil {
+		t.Fatal(err)
+	}
+	got := seen()
+	checkGridTraces(t, grid, func(i int) *fsim.Trace { return got[grid[i].Name] }, own)
+	for _, j := range grid[1:] {
+		if j.Opts.Trace != nil {
+			t.Errorf("Run wrote a trace into the caller's cell %s", j.Name)
+		}
 	}
 }

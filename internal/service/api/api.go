@@ -136,10 +136,6 @@ type Cell struct {
 	// completion so late results (after a lease expiry) still find their
 	// cell.
 	ID uint64 `json:"id"`
-	// Fingerprint is the cell's content-addressed cache key
-	// (runner.Job.Fingerprint); the worker probes its local cache with the
-	// rebuilt job, whose fingerprint equals it, before simulating.
-	Fingerprint string `json:"fingerprint,omitempty"`
 	// Name is the configuration display name (runner.Job.Name).
 	Name string `json:"name"`
 	// Config is the full machine configuration.

@@ -195,7 +195,7 @@ func ProgramFor(p workload.Profile, opts Options) (*program.Program, error) {
 // the commit budget would force the last window of instructions back onto
 // the interpreter; the slack keeps the whole run on the replay fast path.
 // It is deliberately generous — far larger than any configured window —
-// because trace records are cheap (~96 B) and correctness never depends on
+// because trace records are cheap (72 B) and correctness never depends on
 // it: a machine that outruns its trace falls back to interpretation with
 // bit-identical results.
 const TraceSlack = 4096
@@ -433,12 +433,12 @@ func commitOracle(c *core.Core, opts Options, prog *program.Program, bench, conf
 			return nil, ferr
 		}
 	}
+	var want fsim.Retired
 	return func(rec *fsim.Retired) {
 		if diverged {
 			return
 		}
-		want, oerr := oracle.Step()
-		if oerr != nil {
+		if oerr := oracle.Step(&want); oerr != nil {
 			abort(&DivergenceError{Seq: rec.Seq, OracleErr: oerr})
 			return
 		}

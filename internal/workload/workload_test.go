@@ -156,9 +156,9 @@ func TestValueLocalityDrivesOperandRepetition(t *testing.T) {
 		m := fsim.New(prog)
 		seen := map[[3]uint64]bool{}
 		var repeats, total int
+		var r fsim.Retired
 		for !m.Halted {
-			r, err := m.Step()
-			if err != nil {
+			if err := m.Step(&r); err != nil {
 				t.Fatal(err)
 			}
 			oi := r.Instr.Op.Info()
