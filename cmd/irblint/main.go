@@ -92,7 +92,7 @@ func run(w *os.File, insns uint64, bench string, kernels bool, format string) (b
 // targets resolves the programs to lint: the selected benchmark profiles
 // generated exactly as a simulation run would, plus the built-in kernels.
 func targets(insns uint64, bench string, kernels bool) ([]*program.Program, error) {
-	profiles, err := cliutil.Profiles(bench)
+	profiles, err := workload.ByNames(cliutil.SplitBenchmarks(bench))
 	if err != nil {
 		return nil, err
 	}

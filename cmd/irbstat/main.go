@@ -41,7 +41,7 @@ func main() {
 }
 
 func run(entries, assoc, victim int, insns uint64, bench string) error {
-	profiles, err := cliutil.Profiles(bench)
+	profiles, err := workload.ByNames(cliutil.SplitBenchmarks(bench))
 	if err != nil {
 		return err
 	}

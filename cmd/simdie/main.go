@@ -34,6 +34,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -75,7 +76,7 @@ func run(bench, mode string, insns uint64, verify bool, jobs int, x2alu, x2ruu, 
 	if bench == "all" {
 		bench = ""
 	}
-	profiles, err := cliutil.Profiles(bench)
+	profiles, err := workload.ByNames(cliutil.SplitBenchmarks(bench))
 	if err != nil {
 		return err
 	}

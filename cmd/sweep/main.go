@@ -41,28 +41,25 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
 	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (see package doc)")
-	fl := cliutil.RegisterExperimentFlags(flag.CommandLine)
+	gridOpts := experimentFlags(flag.CommandLine)
 	format := cliutil.Format(flag.CommandLine)
-	csv := flag.Bool("csv", false, "deprecated: alias for -format csv")
 	progress := flag.Bool("progress", false, "report live per-cell progress on stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a post-sweep heap profile to this file")
 	flag.Parse()
-	if *csv {
-		*format = "csv"
-	}
 
 	// Ctrl-C cancels the sweep: in-flight simulations stop within a
 	// cycle and the completed cells' failures are still reported.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := fl.Options()
+	opts := gridOpts()
 	opts.Context = ctx
 	if *progress {
 		opts.Progress = func(p runner.Progress) {
@@ -104,6 +101,28 @@ func main() {
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
 			os.Exit(1)
+		}
+	}
+}
+
+// experimentFlags registers the grid flags on fs: by default a grid runs
+// sim.DefaultInsns instructions on all 12 benchmarks. The returned
+// function translates the parsed flags into experiment options; main adds
+// the Context and Progress knobs.
+func experimentFlags(fs *flag.FlagSet) func() experiments.Options {
+	insns := cliutil.Insns(fs, sim.DefaultInsns)
+	bench := cliutil.Bench(fs, "", "comma-separated benchmark subset (default all 12)")
+	verify := cliutil.Verify(fs)
+	jobs := cliutil.Jobs(fs)
+	cellTimeout := fs.Duration("cell-timeout", 0,
+		"per-cell wall-clock bound with one retry (0 = unbounded); a timed-out cell fails alone")
+	return func() experiments.Options {
+		return experiments.Options{
+			Insns:       *insns,
+			Verify:      *verify,
+			Benchmarks:  cliutil.SplitBenchmarks(*bench),
+			Parallelism: *jobs,
+			CellTimeout: *cellTimeout,
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package cliutil centralizes the flag handling shared by the repro
 // command-line tools (cmd/sweep, cmd/simserved, cmd/simdie, cmd/irbstat):
 // the instruction budget, oracle verification, benchmark selection, the
-// parallel-runner width (-j), the grid-flag bundle those compose into,
-// and the table output formats backed by internal/stats.
+// parallel-runner width (-j), the redundancy mode, and the table output
+// formats backed by internal/stats.
 // Each command registers only the flags it needs, so the tools stay small
 // while spelling every shared knob the same way.
 package cliutil
@@ -12,13 +12,9 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Insns registers the -insns instruction-budget flag on fs.
@@ -32,8 +28,8 @@ func Verify(fs *flag.FlagSet) *bool {
 }
 
 // Bench registers the -bench benchmark-selection flag on fs. The value
-// is a comma-separated list of profile names; see SplitBenchmarks and
-// Profiles for parsing.
+// is a comma-separated list of profile names; SplitBenchmarks parses it
+// into the names workload.ByNames resolves.
 func Bench(fs *flag.FlagSet, def, usage string) *string {
 	return fs.String("bench", def, usage)
 }
@@ -57,24 +53,6 @@ func SplitBenchmarks(s string) []string {
 	return out
 }
 
-// Profiles resolves a comma-separated -bench value to workload profiles,
-// defaulting to the full SPEC2000 suite when the value is empty.
-func Profiles(bench string) ([]workload.Profile, error) {
-	names := SplitBenchmarks(bench)
-	if len(names) == 0 {
-		return workload.SPEC2000(), nil
-	}
-	out := make([]workload.Profile, 0, len(names))
-	for _, name := range names {
-		p, ok := workload.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q (want one of the SPEC2000 profile names)", name)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // Mode registers the -mode redundancy-mode flag on fs. The usage text
 // lists the registered modes, so a newly registered mode documents
 // itself; resolve the parsed value with ResolveMode.
@@ -92,41 +70,6 @@ func ResolveMode(name string) (core.ModeInfo, error) {
 			name, strings.Join(core.ModeNames(), ", "))
 	}
 	return mi, nil
-}
-
-// ExperimentFlags bundles cmd/sweep's grid-run flags: one registration,
-// one spelling and one Options translation for the five flags.
-type ExperimentFlags struct {
-	Insns       *uint64
-	Bench       *string
-	Verify      *bool
-	Jobs        *int
-	CellTimeout *time.Duration
-}
-
-// RegisterExperimentFlags registers the shared grid flags on fs. By
-// default a grid runs sim.DefaultInsns instructions on all 12 benchmarks.
-func RegisterExperimentFlags(fs *flag.FlagSet) *ExperimentFlags {
-	return &ExperimentFlags{
-		Insns:  Insns(fs, sim.DefaultInsns),
-		Bench:  Bench(fs, "", "comma-separated benchmark subset (default all 12)"),
-		Verify: Verify(fs),
-		Jobs:   Jobs(fs),
-		CellTimeout: fs.Duration("cell-timeout", 0,
-			"per-cell wall-clock bound with one retry (0 = unbounded); a timed-out cell fails alone"),
-	}
-}
-
-// Options translates the parsed flags into experiment options. Callers add
-// the knobs that stay command-specific (Context, Progress).
-func (f *ExperimentFlags) Options() experiments.Options {
-	return experiments.Options{
-		Insns:       *f.Insns,
-		Verify:      *f.Verify,
-		Benchmarks:  SplitBenchmarks(*f.Bench),
-		Parallelism: *f.Jobs,
-		CellTimeout: *f.CellTimeout,
-	}
 }
 
 // Format registers the -format output-format flag on fs.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -26,21 +25,6 @@ func TestSplitBenchmarks(t *testing.T) {
 		if got := SplitBenchmarks(c.in); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("SplitBenchmarks(%q) = %v, want %v", c.in, got, c.want)
 		}
-	}
-}
-
-func TestProfiles(t *testing.T) {
-	all, err := Profiles("")
-	if err != nil || len(all) != 12 {
-		t.Fatalf("empty -bench: %d profiles, %v; want the 12-benchmark suite", len(all), err)
-	}
-	two, err := Profiles("gzip,mesa")
-	if err != nil || len(two) != 2 || two[0].Name != "gzip" || two[1].Name != "mesa" {
-		t.Fatalf("Profiles(gzip,mesa) = %v, %v", two, err)
-	}
-	if _, err := Profiles("gzip,nonesuch"); err == nil ||
-		!strings.Contains(err.Error(), "nonesuch") {
-		t.Errorf("unknown benchmark error = %v", err)
 	}
 }
 
@@ -106,42 +90,5 @@ func TestRenderFormats(t *testing.T) {
 	if _, err := Render(tbl, "yaml"); err == nil ||
 		!strings.Contains(err.Error(), "yaml") {
 		t.Errorf("unknown format error = %v", err)
-	}
-}
-
-func TestExperimentFlags(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fl := RegisterExperimentFlags(fs)
-	err := fs.Parse([]string{
-		"-insns", "777", "-bench", "gzip, mesa", "-verify",
-		"-j", "3", "-cell-timeout", "90s",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := fl.Options()
-	if opts.Insns != 777 || !opts.Verify || opts.Parallelism != 3 {
-		t.Fatalf("opts = %+v", opts)
-	}
-	if opts.CellTimeout.Seconds() != 90 {
-		t.Fatalf("cell timeout = %v, want 90s", opts.CellTimeout)
-	}
-	if !reflect.DeepEqual(opts.Benchmarks, []string{"gzip", "mesa"}) {
-		t.Fatalf("benchmarks = %v", opts.Benchmarks)
-	}
-}
-
-func TestExperimentFlagsDefaults(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fl := RegisterExperimentFlags(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	opts := fl.Options()
-	if opts.Insns != sim.DefaultInsns || opts.Verify || opts.CellTimeout != 0 {
-		t.Fatalf("opts = %+v", opts)
-	}
-	if *fl.Bench != "" || opts.Benchmarks != nil {
-		t.Fatalf("bench = %q, benchmarks = %v, want no filter", *fl.Bench, opts.Benchmarks)
 	}
 }

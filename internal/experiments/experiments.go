@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/analysis"
@@ -69,22 +70,6 @@ func (o Options) runnerOpts() runner.Options {
 	}
 }
 
-func (o Options) profiles() ([]workload.Profile, error) {
-	all := workload.SPEC2000()
-	if len(o.Benchmarks) == 0 {
-		return all, nil
-	}
-	var out []workload.Profile
-	for _, name := range o.Benchmarks {
-		p, ok := workload.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown benchmark %q", name)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // Grid holds one experiment's results: a matrix of runs indexed by
 // benchmark and configuration.
 type Grid struct {
@@ -126,7 +111,7 @@ func (g *Grid) ConfigIPCs(c int) []float64 {
 // runGrid simulates every benchmark on every configuration through the
 // parallel runner.
 func runGrid(cfgs []sim.NamedConfig, opts Options) (*Grid, error) {
-	profiles, err := opts.profiles()
+	profiles, err := workload.ByNames(opts.Benchmarks)
 	if err != nil {
 		return nil, err
 	}
@@ -408,25 +393,51 @@ func max64(a int64, b int64) int64 {
 	return b
 }
 
-// faultCampaigns is the six mode×site matrix every injection experiment
-// sweeps: both injectable sites on DIE, all four on DIE-IRB.
-func faultCampaigns() []struct {
+// faultRate is the per-opportunity injection rate of the Faults,
+// Frontier and TRB campaigns: high enough that every campaign cell fires.
+const faultRate = 3e-4
+
+// campaign is one injection campaign: a mode's baseline machine struck
+// at one site at one rate, on every profile of the run.
+type campaign struct {
 	mode core.Mode
 	cfg  core.Config
 	site fault.Site
-} {
-	return []struct {
-		mode core.Mode
-		cfg  core.Config
-		site fault.Site
-	}{
-		{core.DIE, core.BaseDIE(), fault.FU},
-		{core.DIE, core.BaseDIE(), fault.Forward},
-		{core.DIEIRB, core.BaseDIEIRB(), fault.FU},
-		{core.DIEIRB, core.BaseDIEIRB(), fault.Forward},
-		{core.DIEIRB, core.BaseDIEIRB(), fault.IRBResult},
-		{core.DIEIRB, core.BaseDIEIRB(), fault.IRBOperand},
+	rate float64
+}
+
+// campaigns derives an injection matrix from the mode registry, in
+// registry order. Each detecting mode among modes (every detecting mode
+// when none is named) faces single-bit strikes at the FU output and the
+// forwarding path; a mode with a reuse buffer also faces strikes in the
+// IRB result array and its operand fields.
+func campaigns(rate float64, modes ...core.Mode) []campaign {
+	var out []campaign
+	for _, mi := range core.Modes() {
+		if !mi.Caps.Detects || len(modes) > 0 && !slices.Contains(modes, mi.Mode) {
+			continue
+		}
+		sites := []fault.Site{fault.FU, fault.Forward}
+		if mi.Caps.UsesIRB {
+			sites = append(sites, fault.IRBResult, fault.IRBOperand)
+		}
+		for _, s := range sites {
+			out = append(out, campaign{mi.Mode, mi.Base(), s, rate})
+		}
 	}
+	return out
+}
+
+// modeConfigs returns the registered baseline machines of modes, in
+// registry order.
+func modeConfigs(modes ...core.Mode) []sim.NamedConfig {
+	var out []sim.NamedConfig
+	for _, mi := range core.Modes() {
+		if slices.Contains(modes, mi.Mode) {
+			out = append(out, sim.NamedConfig{Name: string(mi.Mode), Cfg: mi.Base()})
+		}
+	}
+	return out
 }
 
 // accumulate folds one cell's counters into the campaign row.
@@ -443,6 +454,73 @@ func (r *FaultRow) accumulate(injected uint64, st *core.Stats) {
 	r.Scrubs += st.IRBScrubs + st.TRBScrubs
 }
 
+// add sums another row's counters into r.
+func (r *FaultRow) add(o FaultRow) {
+	r.Injected += o.Injected
+	r.Detected += o.Detected
+	r.Masked += o.Masked
+	r.Silent += o.Silent
+	r.Corrected += o.Corrected
+	r.Vanished += o.Vanished
+	r.Recoveries += o.Recoveries
+	r.Retries += o.Retries
+	r.Repairs += o.Repairs
+	r.RecoveryCycles += o.RecoveryCycles
+	r.Scrubs += o.Scrubs
+}
+
+// runCampaigns runs every campaign on every profile of opts, one
+// oracle-verified cell each with its own injector seeded by the profile,
+// and folds each campaign's cells into one row. ipc holds each
+// campaign's suite-mean IPC under injection. The fold is
+// order-independent, so no worker count changes a counter.
+func runCampaigns(cs []campaign, opts Options) (rows []FaultRow, ipc []float64, err error) {
+	profiles, err := workload.ByNames(opts.Benchmarks)
+	if err != nil {
+		return nil, nil, err
+	}
+	var (
+		jobs []runner.Job
+		injs []*fault.Injector
+	)
+	for _, c := range cs {
+		for _, p := range profiles {
+			inj, err := fault.New(fault.Config{Site: c.site, Rate: c.rate, Seed: p.Seed})
+			if err != nil {
+				return nil, nil, err
+			}
+			o := opts.simOpts()
+			o.Injector = inj
+			o.Verify = true
+			jobs = append(jobs, runner.Job{
+				Name:    string(c.mode) + "@" + string(c.site),
+				Config:  c.cfg,
+				Profile: p,
+				Opts:    o,
+			})
+			injs = append(injs, inj)
+		}
+	}
+	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())
+	if err != nil {
+		return nil, nil, err
+	}
+	rows = make([]FaultRow, len(cs))
+	ipc = make([]float64, len(cs))
+	for ci, c := range cs {
+		row := FaultRow{Mode: c.mode, Site: c.site}
+		ipcs := make([]float64, len(profiles))
+		for pi := range profiles {
+			i := ci*len(profiles) + pi
+			row.accumulate(injs[i].Injected, &outs[i].Result.Core)
+			ipcs[pi] = outs[i].Result.IPC
+		}
+		row.Vanished = int64(row.Injected) - int64(row.Detected) - int64(row.Masked) - int64(row.Silent)
+		rows[ci], ipc[ci] = row, stats.Mean(ipcs)
+	}
+	return rows, ipc, nil
+}
+
 // Faults validates the redundancy argument of Section 3.4: single-bit
 // faults injected into FU outputs, forwarding paths and the IRB array must
 // be caught by the commit-time pair check (or be architecturally
@@ -451,48 +529,15 @@ func (r *FaultRow) accumulate(injected uint64, st *core.Stats) {
 // rewind and re-execution, so the runs finish with oracle-verified final
 // state: the oracle check is forced on regardless of Options.Verify.
 func Faults(opts Options) ([]FaultRow, *stats.Table, error) {
-	profiles, err := opts.profiles()
-	if err != nil {
-		return nil, nil, err
-	}
-	campaigns := faultCampaigns()
-	// Every (campaign × profile) cell runs through the parallel runner
-	// with its own injector; the campaign rows then aggregate the
-	// injector and core counters, which is order-independent.
-	var (
-		jobs []runner.Job
-		injs []*fault.Injector
-	)
-	for _, c := range campaigns {
-		for _, p := range profiles {
-			inj, err := fault.New(fault.Config{Site: c.site, Rate: 3e-4, Seed: p.Seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			o := opts.simOpts()
-			o.Injector = inj
-			o.Verify = true
-			jobs = append(jobs, runner.Job{Name: string(c.mode), Config: c.cfg, Profile: p, Opts: o})
-			injs = append(injs, inj)
-		}
-	}
-	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())
+	rows, _, err := runCampaigns(campaigns(faultRate, core.DIE, core.DIEIRB), opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	t := stats.NewTable("Fault injection: detection coverage of the check-&-retire comparison",
 		"mode", "site", "injected", "detected", "masked", "silent", "vanished",
 		"coverage", "recoveries", "MTTR", "scrubs")
-	var rows []FaultRow
-	for ci, c := range campaigns {
-		row := FaultRow{Mode: c.mode, Site: c.site}
-		for pi := range profiles {
-			i := ci*len(profiles) + pi
-			row.accumulate(injs[i].Injected, &outs[i].Result.Core)
-		}
-		row.Vanished = int64(row.Injected) - int64(row.Detected) - int64(row.Masked) - int64(row.Silent)
-		rows = append(rows, row)
-		t.AddRow(string(c.mode), string(c.site), row.Injected, row.Detected,
+	for _, row := range rows {
+		t.AddRow(string(row.Mode), string(row.Site), row.Injected, row.Detected,
 			row.Masked, row.Silent, row.Vanished, row.Coverage(),
 			row.Recoveries, row.MTTR(), row.Scrubs)
 	}
@@ -524,82 +569,38 @@ func RecoveryRates() []float64 { return []float64{1e-5, 1e-4, 1e-3} }
 // campaign cell that cannot reach an architecturally correct final state
 // fails loudly rather than skewing the table.
 func Recovery(opts Options) ([]RecoveryRow, *stats.Table, error) {
-	profiles, err := opts.profiles()
+	opts.Verify = true
+	modes := []core.Mode{core.DIE, core.DIEIRB}
+	g, err := runGrid(modeConfigs(modes...), opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	campaigns := faultCampaigns()
-	rates := RecoveryRates()
-
-	// Job layout: the two fault-free baselines (DIE, DIE-IRB) first, then
-	// one campaign block per (campaign × rate), each over all profiles.
-	baselines := []sim.NamedConfig{
-		{Name: string(core.DIE), Cfg: core.BaseDIE()},
-		{Name: string(core.DIEIRB), Cfg: core.BaseDIEIRB()},
-	}
-	var (
-		jobs []runner.Job
-		injs []*fault.Injector
-	)
-	for _, nc := range baselines {
-		for _, p := range profiles {
-			o := opts.simOpts()
-			o.Verify = true
-			jobs = append(jobs, runner.Job{Name: nc.Name, Config: nc.Cfg, Profile: p, Opts: o})
+	var cs []campaign
+	for _, c := range campaigns(0, modes...) {
+		for _, rate := range RecoveryRates() {
+			c.rate = rate
+			cs = append(cs, c)
 		}
 	}
-	for _, c := range campaigns {
-		for _, rate := range rates {
-			for _, p := range profiles {
-				inj, err := fault.New(fault.Config{Site: c.site, Rate: rate, Seed: p.Seed})
-				if err != nil {
-					return nil, nil, err
-				}
-				o := opts.simOpts()
-				o.Injector = inj
-				o.Verify = true
-				jobs = append(jobs, runner.Job{Name: string(c.mode), Config: c.cfg, Profile: p, Opts: o})
-				injs = append(injs, inj)
-			}
-		}
-	}
-	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())
+	frows, ipc, err := runCampaigns(cs, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	nb := len(profiles)
-	baseIPC := make(map[core.Mode]float64, len(baselines))
-	for bi, nc := range baselines {
-		ipcs := make([]float64, nb)
-		for pi := 0; pi < nb; pi++ {
-			ipcs[pi] = outs[bi*nb+pi].Result.IPC
-		}
-		baseIPC[core.Mode(nc.Name)] = stats.Mean(ipcs)
+	baseIPC := make(map[core.Mode]float64, len(g.Configs))
+	for c, name := range g.Configs {
+		baseIPC[core.Mode(name)] = stats.Mean(g.ConfigIPCs(c))
 	}
 
 	t := stats.NewTable("Recovery overhead: IPC and MTTR vs fault rate",
 		"mode", "site", "rate", "IPC", "base-IPC", "overhead%",
 		"detected", "recoveries", "retries", "MTTR", "silent", "scrubs")
-	var rows []RecoveryRow
-	off := len(baselines) * nb
-	for ci, c := range campaigns {
-		for ri, rate := range rates {
-			row := RecoveryRow{Rate: rate, BaseIPC: baseIPC[c.mode]}
-			row.Mode, row.Site = c.mode, c.site
-			ipcs := make([]float64, nb)
-			for pi := 0; pi < nb; pi++ {
-				cell := (ci*len(rates)+ri)*nb + pi
-				row.accumulate(injs[cell].Injected, &outs[off+cell].Result.Core)
-				ipcs[pi] = outs[off+cell].Result.IPC
-			}
-			row.IPC = stats.Mean(ipcs)
-			row.Vanished = int64(row.Injected) - int64(row.Detected) - int64(row.Masked) - int64(row.Silent)
-			rows = append(rows, row)
-			t.AddRow(string(c.mode), string(c.site), fmt.Sprintf("%.0e", row.Rate), row.IPC, row.BaseIPC,
-				row.OverheadPct(), row.Detected, row.Recoveries, row.Retries,
-				row.MTTR(), row.Silent, row.Scrubs)
-		}
+	rows := make([]RecoveryRow, len(frows))
+	for i, fr := range frows {
+		row := RecoveryRow{FaultRow: fr, Rate: cs[i].rate, IPC: ipc[i], BaseIPC: baseIPC[fr.Mode]}
+		rows[i] = row
+		t.AddRow(string(row.Mode), string(row.Site), fmt.Sprintf("%.0e", row.Rate), row.IPC, row.BaseIPC,
+			row.OverheadPct(), row.Detected, row.Recoveries, row.Retries,
+			row.MTTR(), row.Silent, row.Scrubs)
 	}
 	return rows, t, nil
 }
@@ -742,7 +743,7 @@ type PredictionRow struct {
 // measured columns — the predictor's contract is ordering programs by
 // reuse potential, not matching absolute rates.
 func ReusePrediction(opts Options) ([]PredictionRow, float64, *stats.Table, error) {
-	profiles, err := opts.profiles()
+	profiles, err := workload.ByNames(opts.Benchmarks)
 	if err != nil {
 		return nil, 0, nil, err
 	}

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -24,36 +22,6 @@ type FrontierRow struct {
 	Inj FaultRow
 }
 
-// frontierCampaign is one (mode × site) injection cell of the frontier.
-type frontierCampaign struct {
-	mode core.Mode
-	cfg  core.Config
-	site fault.Site
-}
-
-// frontierCampaigns derives the injection matrix from the mode registry:
-// every detecting mode faces single-bit strikes at the FU output and the
-// forwarding path, and modes that integrate a reuse buffer additionally
-// face strikes in the IRB result array and its operand fields. With the
-// seed registry this is the classic six-campaign matrix plus REPLAY and
-// TMR at the two universal sites.
-func frontierCampaigns() []frontierCampaign {
-	var out []frontierCampaign
-	for _, mi := range core.Modes() {
-		if !mi.Caps.Detects {
-			continue
-		}
-		sites := []fault.Site{fault.FU, fault.Forward}
-		if mi.Caps.UsesIRB {
-			sites = append(sites, fault.IRBResult, fault.IRBOperand)
-		}
-		for _, s := range sites {
-			out = append(out, frontierCampaign{mi.Mode, mi.Base(), s})
-		}
-	}
-	return out
-}
-
 // Frontier runs the six-way redundancy comparison the mode registry was
 // built for: every registered detecting mode plus the single-stream
 // baseline on one table of fault-free IPC, IPC loss, detection coverage
@@ -71,51 +39,9 @@ func Frontier(opts Options) ([]FrontierRow, *stats.Table, error) {
 		return nil, nil, err
 	}
 
-	profiles, err := opts.profiles()
+	camps, _, err := runCampaigns(campaigns(faultRate), opts)
 	if err != nil {
 		return nil, nil, err
-	}
-	campaigns := frontierCampaigns()
-	var (
-		jobs []runner.Job
-		injs []*fault.Injector
-	)
-	for _, c := range campaigns {
-		for _, p := range profiles {
-			inj, err := fault.New(fault.Config{Site: c.site, Rate: 3e-4, Seed: p.Seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			o := opts.simOpts()
-			o.Injector = inj
-			jobs = append(jobs, runner.Job{
-				Name:    string(c.mode) + "@" + string(c.site),
-				Config:  c.cfg,
-				Profile: p,
-				Opts:    o,
-			})
-			injs = append(injs, inj)
-		}
-	}
-	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())
-	if err != nil {
-		return nil, nil, err
-	}
-	agg := map[core.Mode]*FaultRow{}
-	for ci, c := range campaigns {
-		row, ok := agg[c.mode]
-		if !ok {
-			row = &FaultRow{Mode: c.mode}
-			agg[c.mode] = row
-		}
-		for pi := range profiles {
-			i := ci*len(profiles) + pi
-			row.accumulate(injs[i].Injected, &outs[i].Result.Core)
-		}
-	}
-	for _, row := range agg {
-		row.Vanished = int64(row.Injected) - int64(row.Detected) -
-			int64(row.Masked) - int64(row.Silent)
 	}
 
 	// The baseline column for the loss figures is the grid's (unique)
@@ -142,7 +68,12 @@ func Frontier(opts Options) ([]FrontierRow, *stats.Table, error) {
 		row.LossPct = stats.PctLoss(baseIPC, row.IPC)
 		coverage, mttr := 0.0, 0.0
 		if caps.Detects {
-			row.Inj = *agg[mode]
+			row.Inj.Mode = mode
+			for _, cr := range camps {
+				if cr.Mode == mode {
+					row.Inj.add(cr)
+				}
+			}
 			coverage, mttr = row.Inj.Coverage(), row.Inj.MTTR()
 		}
 		rows = append(rows, row)

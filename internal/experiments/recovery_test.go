@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -55,9 +57,8 @@ func TestRecoveryShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(faultCampaigns()) * len(RecoveryRates())
-	if len(rows) != want {
-		t.Fatalf("got %d rows, want %d (6 campaigns x 3 rates)", len(rows), want)
+	if len(rows) != 18 {
+		t.Fatalf("got %d rows, want 18 (6 campaigns x 3 rates)", len(rows))
 	}
 	if tbl == nil {
 		t.Fatal("no table rendered")
@@ -86,6 +87,78 @@ func TestRecoveryShape(t *testing.T) {
 				t.Errorf("%s @ %g: detected %d, recovered %d — campaign never exercised recovery",
 					label, r.Rate, r.Detected, r.Recoveries)
 			}
+		}
+	}
+}
+
+// TestCampaignRowOrder pins the row order of the campaign tables, which
+// derive their matrices from the mode registry: modes in registry order,
+// each mode's sites as fu, forward, then the IRB's result array and
+// operand fields, and Recovery's rates inside each campaign.
+func TestCampaignRowOrder(t *testing.T) {
+	opts := Options{Insns: 2000, Benchmarks: []string{"gzip"}}
+	label := func(r FaultRow) string { return string(r.Mode) + "/" + string(r.Site) }
+	check := func(exp string, got, want []string) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s rows %v, want %v", exp, got, want)
+		}
+	}
+	six := []string{"DIE/fu", "DIE/forward", "DIE-IRB/fu", "DIE-IRB/forward",
+		"DIE-IRB/irb-result", "DIE-IRB/irb-operand"}
+
+	frows, _, err := Faults(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range frows {
+		got = append(got, label(r))
+	}
+	check("faults", got, six)
+
+	rrows, _, err := Recovery(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, c := range six {
+		for _, rate := range []string{"1e-05", "0.0001", "0.001"} {
+			want = append(want, c+"@"+rate)
+		}
+	}
+	got = nil
+	for _, r := range rrows {
+		got = append(got, fmt.Sprintf("%s@%g", label(r.FaultRow), r.Rate))
+	}
+	check("recovery", got, want)
+
+	_, trows, tbl, err := TRBAblation(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want = nil, nil
+	for _, r := range trows {
+		got = append(got, label(r))
+	}
+	prev, out := -1, tbl.String()
+	for _, site := range []string{"fu", "forward", "irb-result", "irb-operand"} {
+		want = append(want, "DIE-TRB/"+site)
+		i := strings.Index(out, "fault@"+site+" ")
+		if i <= prev {
+			t.Errorf("trb table row fault@%s missing or out of order:\n%s", site, out)
+		}
+		prev = i
+	}
+	check("trb campaign", got, want)
+
+	rows, _, err := Frontier(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.Inj.Site != "" {
+			t.Errorf("%s: frontier row carries site %q, want none", r.Mode, r.Inj.Site)
 		}
 	}
 }

@@ -5,10 +5,9 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // TRBRow is one benchmark's trace-reuse ablation outcome: the IPC ladder
@@ -25,14 +24,6 @@ type TRBRow struct {
 	BlockHits  uint64  // TRB window lookups that hit
 }
 
-// trbSites is the injection matrix of the TRB campaign phase: the two
-// universal datapath sites plus both reuse-array sites — the TRB, like
-// the IRB, stores values consumed in place of execution, so a corrupted
-// entry must be caught by the commit-time pair check and scrubbed.
-func trbSites() []fault.Site {
-	return []fault.Site{fault.FU, fault.Forward, fault.IRBResult, fault.IRBOperand}
-}
-
 // TRBAblation runs the trace-reuse ablation: DIE vs DIE-IRB vs DIE-TRB
 // on one fault-free oracle-verified grid (phase one), then DIE-TRB under
 // single-bit injection at all four sites (phase two, rate 3e-4 — the
@@ -43,44 +34,11 @@ func trbSites() []fault.Site {
 // row per campaign for the silent-corruption gate in CI.
 func TRBAblation(opts Options) ([]TRBRow, []FaultRow, *stats.Table, error) {
 	opts.Verify = true
-	cfgs := []sim.NamedConfig{
-		{Name: string(core.DIE), Cfg: core.BaseDIE()},
-		{Name: string(core.DIEIRB), Cfg: core.BaseDIEIRB()},
-		{Name: string(core.DIETRB), Cfg: baseDIETRB()},
-	}
-	g, err := runGrid(cfgs, opts)
+	g, err := runGrid(modeConfigs(core.DIE, core.DIEIRB, core.DIETRB), opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-
-	profiles, err := opts.profiles()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sites := trbSites()
-	var (
-		jobs []runner.Job
-		injs []*fault.Injector
-	)
-	for _, site := range sites {
-		for _, p := range profiles {
-			inj, err := fault.New(fault.Config{Site: site, Rate: 3e-4, Seed: p.Seed})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			o := opts.simOpts()
-			o.Injector = inj
-			o.Verify = true
-			jobs = append(jobs, runner.Job{
-				Name:    string(core.DIETRB) + "@" + string(site),
-				Config:  baseDIETRB(),
-				Profile: p,
-				Opts:    o,
-			})
-			injs = append(injs, inj)
-		}
-	}
-	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())
+	frows, _, err := runCampaigns(campaigns(faultRate, core.DIETRB), opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -116,30 +74,11 @@ func TRBAblation(opts Options) ([]TRBRow, []FaultRow, *stats.Table, error) {
 		t.AddRow("AVERAGE", "", sumIRB/n, sumTRB/n, sumReuse/n, sumShare/n, "")
 	}
 
-	var frows []FaultRow
-	for si, site := range sites {
-		frow := FaultRow{Mode: core.DIETRB, Site: site}
-		for pi := range profiles {
-			i := si*len(profiles) + pi
-			frow.accumulate(injs[i].Injected, &outs[i].Result.Core)
-		}
-		frow.Vanished = int64(frow.Injected) - int64(frow.Detected) -
-			int64(frow.Masked) - int64(frow.Silent)
-		frows = append(frows, frow)
-		t.AddRow("fault@"+string(site), frow.Injected, frow.Detected,
+	for _, frow := range frows {
+		t.AddRow("fault@"+string(frow.Site), frow.Injected, frow.Detected,
 			frow.Masked, frow.Silent, frow.Coverage(), frow.Scrubs)
 	}
 	return rows, frows, t, nil
-}
-
-// baseDIETRB resolves the registered DIE-TRB baseline machine.
-func baseDIETRB() core.Config {
-	mi, ok := core.DIETRB.Info()
-	if !ok {
-		//nopanic:invariant the built-in mode registers at init; absence is a build bug
-		panic("experiments: DIE-TRB mode not registered")
-	}
-	return mi.Base()
 }
 
 // TracePredictionRow pairs the static trace-reuse forecast for one
@@ -162,12 +101,11 @@ type TracePredictionRow struct {
 // acceptance figure — the predictor orders programs by trace-reuse
 // potential, it does not promise absolute rates.
 func TraceReusePrediction(opts Options) ([]TracePredictionRow, float64, *stats.Table, error) {
-	profiles, err := opts.profiles()
+	profiles, err := workload.ByNames(opts.Benchmarks)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	cfgs := []sim.NamedConfig{{Name: string(core.DIETRB), Cfg: baseDIETRB()}}
-	g, err := runGridProfiles(cfgs, profiles, opts)
+	g, err := runGridProfiles(modeConfigs(core.DIETRB), profiles, opts)
 	if err != nil {
 		return nil, 0, nil, err
 	}

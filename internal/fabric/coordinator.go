@@ -54,10 +54,6 @@ type CoordinatorConfig struct {
 	// Seed seeds the jitter PRNG (0 = 1), keeping the retry schedule
 	// replayable.
 	Seed uint64
-	// Local executes a cell in-process — the degraded mode when no
-	// workers are live, a cell is not wire-shippable, or its retry budget
-	// is exhausted. Defaults to the direct simulation path.
-	Local func(ctx context.Context, j runner.Job) (sim.Result, error)
 }
 
 // RemoteCellError is the structured error of a cell a worker completed
@@ -188,9 +184,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if seed == 0 {
 		seed = 1
 	}
-	if cfg.Local == nil {
-		cfg.Local = localRun
-	}
 	return &Coordinator{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewPCG(seed, 0xfab51c)),
@@ -200,13 +193,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		workers: make(map[string]*workerState),
 		wake:    make(chan struct{}),
 	}
-}
-
-// localRun is the default in-process execution path: the plain
-// deterministic simulation call, bit-identical to what a worker would
-// have produced.
-func localRun(ctx context.Context, j runner.Job) (sim.Result, error) {
-	return sim.RunContext(ctx, j.Name, j.Config, j.Profile, j.Opts)
 }
 
 // Start launches the background expiry sweeper; it stops when ctx ends.
@@ -243,34 +229,27 @@ func (c *Coordinator) Metrics() Metrics {
 
 // Execute is the runner's dispatch seam: it ships one cell to the worker
 // fleet and blocks until the cell settles — surviving lease expiries,
-// retries and worker deaths along the way — or falls back to in-process
-// execution when the fleet cannot take the cell. Safe for concurrent use
-// by the runner's worker pool.
+// retries and worker deaths along the way. When the fleet cannot take
+// the cell (no live worker, a job that cannot cross the wire, or a spent
+// retry budget) it counts the cell as local and returns
+// runner.ErrRunLocal, so the runner runs it in-process under its own
+// per-cell deadline. Safe for concurrent use by the runner's worker pool.
 func (c *Coordinator) Execute(ctx context.Context, j runner.Job) (sim.Result, error) {
-	cl, remote := c.enqueue(j)
-	if !remote {
-		return c.runLocal(ctx, j)
-	}
-	select {
-	case out := <-cl.done:
-		if out.local {
-			// The fleet vanished or the retry budget ran out: the sweep
-			// handed the cell back for in-process execution.
-			return c.runLocal(ctx, j)
+	if cl, remote := c.enqueue(j); remote {
+		select {
+		case out := <-cl.done:
+			if !out.local {
+				return out.res, out.err
+			}
+		case <-ctx.Done():
+			c.abandon(cl)
+			return sim.Result{}, ctx.Err()
 		}
-		return out.res, out.err
-	case <-ctx.Done():
-		c.abandon(cl)
-		return sim.Result{}, ctx.Err()
 	}
-}
-
-// runLocal executes one cell in-process (the degraded mode) and counts it.
-func (c *Coordinator) runLocal(ctx context.Context, j runner.Job) (sim.Result, error) {
 	c.mu.Lock()
 	c.met.CellsLocal++
 	c.mu.Unlock()
-	return c.cfg.Local(ctx, j)
+	return sim.Result{}, runner.ErrRunLocal
 }
 
 // enqueue registers one cell for remote execution, or reports

@@ -58,17 +58,12 @@ func testJob(t *testing.T, name string, insns uint64) runner.Job {
 }
 
 // testConfig is a fast deterministic coordinator config: no jitter, tiny
-// backoff, Local fails loudly so an unexpected degrade is visible.
+// backoff. An unexpected degrade is visible as runner.ErrRunLocal.
 func testConfig(t *testing.T) CoordinatorConfig {
 	t.Helper()
 	return CoordinatorConfig{
 		LeaseTTL: 10 * time.Second,
 		Backoff:  backoff.Policy{Base: time.Second, Cap: 8 * time.Second, Factor: 2},
-		Local: func(context.Context, runner.Job) (sim.Result, error) {
-			err := errors.New("unexpected local execution")
-			t.Error(err)
-			return sim.Result{}, err
-		},
 	}
 }
 
@@ -141,19 +136,30 @@ func TestExecuteCompletesThroughWorker(t *testing.T) {
 	}
 }
 
-// TestExecuteLocalWhenNoWorkers degrades to in-process execution when the
-// fleet is empty.
+// TestExecuteLocalWhenNoWorkers hands the cell back for in-process
+// execution when the fleet is empty.
 func TestExecuteLocalWhenNoWorkers(t *testing.T) {
-	cfg := testConfig(t)
-	ran := false
-	cfg.Local = func(_ context.Context, j runner.Job) (sim.Result, error) {
-		ran = true
-		return sim.Result{Config: j.Name}, nil
+	c := NewCoordinator(testConfig(t))
+	if _, err := c.Execute(context.Background(), testJob(t, "SIE", 1000)); !errors.Is(err, runner.ErrRunLocal) {
+		t.Fatalf("Execute with no workers returned %v, want runner.ErrRunLocal", err)
 	}
-	c := NewCoordinator(cfg)
-	res, err := c.Execute(context.Background(), testJob(t, "SIE", 1000))
-	if err != nil || !ran {
-		t.Fatalf("local fallback did not run: res=%+v err=%v ran=%v", res, err, ran)
+	if m := c.Metrics(); m.CellsLocal != 1 {
+		t.Errorf("CellsLocal = %d, want 1", m.CellsLocal)
+	}
+}
+
+// TestLocalFallbackHonoursCellTimeout: a cell the fleet hands back runs
+// in-process under the runner's per-cell deadline, like any other cell.
+func TestLocalFallbackHonoursCellTimeout(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{})
+	outs, _ := runner.Run(context.Background(), []runner.Job{testJob(t, "SIE", 2_000_000)}, runner.Options{
+		Parallelism: 1,
+		CellTimeout: 5 * time.Millisecond,
+		Execute:     c.Execute,
+	})
+	var te *runner.CellTimeoutError
+	if !errors.As(outs[0].Err, &te) {
+		t.Fatalf("degraded cell returned %v, want *runner.CellTimeoutError", outs[0].Err)
 	}
 	if m := c.Metrics(); m.CellsLocal != 1 {
 		t.Errorf("CellsLocal = %d, want 1", m.CellsLocal)
@@ -163,21 +169,15 @@ func TestExecuteLocalWhenNoWorkers(t *testing.T) {
 // TestExecuteLocalForUnshippableJob: a job pinned to an in-memory program
 // cannot cross the wire and must run in-process even with workers live.
 func TestExecuteLocalForUnshippableJob(t *testing.T) {
-	cfg := testConfig(t)
-	ran := false
-	cfg.Local = func(_ context.Context, j runner.Job) (sim.Result, error) {
-		ran = true
-		return sim.Result{}, nil
-	}
-	c := NewCoordinator(cfg)
+	c := NewCoordinator(testConfig(t))
 	c.Lease(api.LeaseRequest{Worker: "w1"})
 	j := testJob(t, "SIE", 1000)
 	j.Opts.Program = &program.Program{} // pinned programs cannot cross the wire
 	if _, ok := cellFromJob(j); ok {
 		t.Fatal("program-pinned job reported shippable")
 	}
-	if _, err := c.Execute(context.Background(), j); err != nil || !ran {
-		t.Fatalf("unshippable job did not run locally (ran=%v err=%v)", ran, err)
+	if _, err := c.Execute(context.Background(), j); !errors.Is(err, runner.ErrRunLocal) {
+		t.Fatalf("unshippable job returned %v, want runner.ErrRunLocal", err)
 	}
 }
 
@@ -276,18 +276,13 @@ func TestDuplicateCompletionBitIdentity(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetDegradesToLocal: a cell that keeps losing its lease
-// falls back to in-process execution once MaxAttempts is spent, instead
+// TestRetryBudgetDegradesToLocal: a cell that keeps losing its lease is
+// handed back for in-process execution once MaxAttempts is spent, instead
 // of queueing forever on a fleet that keeps eating it.
 func TestRetryBudgetDegradesToLocal(t *testing.T) {
 	fc := freezeClock(t)
 	cfg := testConfig(t)
 	cfg.MaxAttempts = 1
-	ran := false
-	cfg.Local = func(_ context.Context, j runner.Job) (sim.Result, error) {
-		ran = true
-		return sim.Result{Config: "local"}, nil
-	}
 	c := NewCoordinator(cfg)
 	// Register both while the queue is empty; from here on "keeper" only
 	// heartbeats, so retries queue remotely (live > 0) but land on w1.
@@ -307,10 +302,8 @@ func TestRetryBudgetDegradesToLocal(t *testing.T) {
 	c.Heartbeat(api.HeartbeatRequest{Worker: "keeper"})
 	c.Tick() // attempts=2 > MaxAttempts ⇒ degrade
 
-	out := <-done
-	if out.Err != nil || !ran || out.Result.Config != "local" {
-		t.Fatalf("exhausted cell did not degrade to local: %+v / %v (ran=%v)",
-			out.Result, out.Err, ran)
+	if out := <-done; !errors.Is(out.Err, runner.ErrRunLocal) {
+		t.Fatalf("exhausted cell returned %v, want runner.ErrRunLocal", out.Err)
 	}
 	m := c.Metrics()
 	if m.LeaseExpiries != 2 || m.CellsRetried != 1 || m.CellsLocal != 1 {
@@ -319,24 +312,19 @@ func TestRetryBudgetDegradesToLocal(t *testing.T) {
 }
 
 // TestFleetDeathDegradesToLocal: when the last worker dies, leased cells
-// route straight back to their waiting Execute calls.
+// route straight back to their waiting Execute calls, which hand them
+// back for in-process execution.
 func TestFleetDeathDegradesToLocal(t *testing.T) {
 	fc := freezeClock(t)
-	cfg := testConfig(t)
-	ran := false
-	cfg.Local = func(_ context.Context, j runner.Job) (sim.Result, error) {
-		ran = true
-		return sim.Result{}, nil
-	}
-	c := NewCoordinator(cfg)
+	c := NewCoordinator(testConfig(t))
 	c.Lease(api.LeaseRequest{Worker: "w1"})
 	done := startExecute(c, testJob(t, "SIE", 5000))
 	leaseAll(t, c, "w1", 1)
 
 	fc.advance(8 * time.Second)
 	c.Tick()
-	if out := <-done; out.Err != nil || !ran {
-		t.Fatalf("orphaned cell did not run locally: %v (ran=%v)", out.Err, ran)
+	if out := <-done; !errors.Is(out.Err, runner.ErrRunLocal) {
+		t.Fatalf("orphaned cell returned %v, want runner.ErrRunLocal", out.Err)
 	}
 }
 

@@ -112,9 +112,6 @@ func TestWorkerFleetChaosE2E(t *testing.T) {
 		LeaseBatch:     2,
 		Backoff:        backoff.Policy{Base: 20 * time.Millisecond, Cap: 100 * time.Millisecond, Factor: 2, Jitter: 0.5},
 		Seed:           1,
-		Local: func(context.Context, runner.Job) (sim.Result, error) {
-			return sim.Result{}, errors.New("cell degraded to local — fleet should have completed it")
-		},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -82,7 +82,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 // TestCellTimeoutRetriesOnce: a cell that hangs is stopped at the
 // deadline, retried exactly once, then failed with *CellTimeoutError —
 // which must survive Run's error filtering even though it began life as a
-// context deadline.
+// context deadline. A cell an Execute hook hands back runs the same way.
 func TestCellTimeoutRetriesOnce(t *testing.T) {
 	var hangCalls atomic.Int32
 	swapSimRun(t, func(ctx context.Context, _ string, _ core.Config, p workload.Profile, _ sim.Options) (sim.Result, error) {
@@ -94,32 +94,44 @@ func TestCellTimeoutRetriesOnce(t *testing.T) {
 		return sim.Result{Bench: p.Name}, nil
 	})
 
-	jobs := stubJobs("ok1", "hang", "ok2")
-	out, err := Run(context.Background(), jobs, Options{
-		Parallelism: 2,
-		CellTimeout: 20 * time.Millisecond,
-	})
-	if err == nil {
-		t.Fatal("batch error nil despite a timed-out cell")
-	}
-	var te *CellTimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("batch error %v does not wrap *CellTimeoutError", err)
-	}
-	if te.Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2 (one retry)", te.Attempts)
-	}
-	if got := hangCalls.Load(); got != 2 {
-		t.Errorf("hung cell dispatched %d times, want 2", got)
-	}
-	for _, o := range out {
-		if o.Job.Profile.Name == "hang" {
-			if !errors.As(o.Err, &te) {
-				t.Errorf("hung cell error = %v, want *CellTimeoutError", o.Err)
+	for _, tc := range []struct {
+		name    string
+		execute func(context.Context, Job) (sim.Result, error)
+	}{
+		{"in-process", nil},
+		{"handed-back", func(context.Context, Job) (sim.Result, error) { return sim.Result{}, ErrRunLocal }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hangCalls.Store(0)
+			jobs := stubJobs("ok1", "hang", "ok2")
+			out, err := Run(context.Background(), jobs, Options{
+				Parallelism: 2,
+				CellTimeout: 20 * time.Millisecond,
+				Execute:     tc.execute,
+			})
+			if err == nil {
+				t.Fatal("batch error nil despite a timed-out cell")
 			}
-		} else if o.Err != nil {
-			t.Errorf("healthy cell %s failed: %v", o.Job.Profile.Name, o.Err)
-		}
+			var te *CellTimeoutError
+			if !errors.As(err, &te) {
+				t.Fatalf("batch error %v does not wrap *CellTimeoutError", err)
+			}
+			if te.Attempts != 2 {
+				t.Errorf("Attempts = %d, want 2 (one retry)", te.Attempts)
+			}
+			if got := hangCalls.Load(); got != 2 {
+				t.Errorf("hung cell dispatched %d times, want 2", got)
+			}
+			for _, o := range out {
+				if o.Job.Profile.Name == "hang" {
+					if !errors.As(o.Err, &te) {
+						t.Errorf("hung cell error = %v, want *CellTimeoutError", o.Err)
+					}
+				} else if o.Err != nil || o.Result.Bench != o.Job.Profile.Name {
+					t.Errorf("healthy cell %s: result %+v, error %v", o.Job.Profile.Name, o.Result, o.Err)
+				}
+			}
+		})
 	}
 }
 

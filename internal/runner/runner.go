@@ -285,9 +285,12 @@ type Options struct {
 	// ship cells to remote workers while reusing everything above the
 	// seam — cache-before-dispatch, LPT ordering, per-cell error
 	// capture, progress reporting and deterministic outcome order.
-	// Batching and CellTimeout are the dispatcher's concern in this mode
-	// (the local batch planner and per-cell deadline are bypassed); a
-	// panic inside Execute is still captured as a *CellPanicError.
+	// Batching and trace sharing are bypassed in this mode, and a
+	// shipped cell's deadline is the dispatcher's concern; a panic
+	// inside Execute is still captured as a *CellPanicError. Execute
+	// hands a cell back by returning ErrRunLocal: the runner then runs
+	// it in-process under CellTimeout, with its retry, injector reset
+	// and panic capture.
 	Execute func(ctx context.Context, j Job) (sim.Result, error)
 }
 
@@ -403,6 +406,10 @@ func runDispatch(ctx context.Context, j Job, exec func(context.Context, Job) (si
 func isCellTimeout(parent context.Context, err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil
 }
+
+// ErrRunLocal is returned by an Options.Execute hook that cannot take a
+// cell; Run then runs the cell in-process.
+var ErrRunLocal = errors.New("runner: cell handed back for in-process execution")
 
 // errNotRun marks outcomes whose job was never dispatched (the sweep was
 // cancelled first); Run rewrites it to the context's error.
@@ -553,7 +560,8 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 			)
 			if opts.Execute != nil {
 				r, err = runDispatch(ctx, jobs[i], opts.Execute)
-			} else {
+			}
+			if opts.Execute == nil || errors.Is(err, ErrRunLocal) {
 				r, err = runCell(ctx, jobs[i], opts.CellTimeout)
 			}
 			finish(i, r, err)

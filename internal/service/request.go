@@ -4,14 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/runner"
 	"repro/internal/service/api"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // The wire types live in internal/service/api — the serialization
@@ -54,9 +53,10 @@ var ErrNoConfigs = errors.New("configs: at least one configuration or mode name 
 var errOverBudget = errors.New("request exceeds the instruction budget")
 
 // maxTraceRecords bounds profiles × (insns + fast_forward) per request.
-// The runner may hold one 88-byte trace record per instruction of each
-// profile before a cell runs; 1<<24 records (~1.4 GiB) admit the default
-// of 12 profiles at sim.DefaultInsns (3.6M records) four times over.
+// The runner may hold one 72-byte trace record (fsim.Retired) per
+// instruction of each profile before a cell runs; 1<<24 records (~1.1 GiB)
+// admit the default of 12 profiles at sim.DefaultInsns (3.6M records)
+// four times over.
 const maxTraceRecords = 1 << 24
 
 // checkTraceBudget enforces maxTraceRecords without overflowing uint64:
@@ -179,9 +179,7 @@ func (s *Server) buildJobs(req *RunRequest) ([]runner.Job, error) {
 			return nil, err
 		}
 	}
-	// Benchmark selection reuses the CLI's parser, so the HTTP API and
-	// the command-line tools accept exactly the same names.
-	profiles, err := cliutil.Profiles(strings.Join(req.Benchmarks, ","))
+	profiles, err := workload.ByNames(req.Benchmarks)
 	if err != nil {
 		return nil, err
 	}

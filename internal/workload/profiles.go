@@ -1,5 +1,7 @@
 package workload
 
+import "fmt"
+
 // The twelve SPEC2000 applications of the paper's evaluation, modeled as
 // synthetic profiles. The knob settings encode each application's published
 // character (instruction mix, branchiness, memory behaviour) and a value-
@@ -131,6 +133,23 @@ func ByName(name string) (Profile, bool) {
 		}
 	}
 	return Profile{}, false
+}
+
+// ByNames resolves benchmark names to SPEC2000 profiles in the order
+// named; no names selects the whole suite.
+func ByNames(names []string) ([]Profile, error) {
+	if len(names) == 0 {
+		return SPEC2000(), nil
+	}
+	out := make([]Profile, 0, len(names))
+	for _, name := range names {
+		p, ok := ByName(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown benchmark %q (want one of the SPEC2000 profile names)", name)
+		}
+		out = append(out, p)
+	}
+	return out, nil
 }
 
 // WithIters returns p sized to run for roughly n dynamic instructions.

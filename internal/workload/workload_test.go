@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/fsim"
@@ -60,6 +61,21 @@ func TestByName(t *testing.T) {
 	}
 	if _, ok := ByName("doom"); ok {
 		t.Error("found nonexistent profile")
+	}
+}
+
+func TestByNames(t *testing.T) {
+	all, err := ByNames(nil)
+	if err != nil || len(all) != 12 {
+		t.Fatalf("no names: %d profiles, %v; want the 12-benchmark suite", len(all), err)
+	}
+	two, err := ByNames([]string{"mesa", "gzip"})
+	if err != nil || len(two) != 2 || two[0].Name != "mesa" || two[1].Name != "gzip" {
+		t.Fatalf("ByNames(mesa, gzip) = %v, %v", two, err)
+	}
+	if _, err := ByNames([]string{"gzip", "nonesuch"}); err == nil ||
+		!strings.Contains(err.Error(), `"nonesuch"`) {
+		t.Errorf("unknown benchmark error = %v", err)
 	}
 }
 
