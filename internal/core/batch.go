@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -56,12 +55,6 @@ const quietWindow = 1 << 16
 // notDue marks a lane that is never probed again: fault-free or evicted.
 const notDue = math.MaxUint64
 
-// ErrBatchDrained is the error a batch leader aborts with when every lane
-// has diverged and no fault-free lane needs the full run: finishing the
-// leader would compute a result nobody consumes. Callers treat it as an
-// early exit, not a failure.
-var ErrBatchDrained = errors.New("core: every batch lane diverged")
-
 // BatchSim steps K same-shape simulation cells in lockstep through one
 // core. The cells must agree on everything but their fault injector —
 // configuration, workload, options — so their fault-free trajectories are
@@ -93,13 +86,24 @@ var ErrBatchDrained = errors.New("core: every batch lane diverged")
 // its injector Reset first. Eviction is how per-lane early-exit works: a
 // diverging lane retires from the batch without stalling its siblings. A
 // lane whose injector never fires is served the leader's results and
-// statistics, bit for bit. Its injector has fired nothing, but it may
-// have drawn up to a quiet window past the run's last opportunity, so
-// unlike a scalar run's injector it must be Reset before it steers
-// another run (the runner resets before every attempt).
+// statistics, bit for bit. Its injector may have drawn up to a quiet
+// window past the run's last opportunity, so unlike a scalar run's
+// injector it must be Reset before it steers another run (the runner
+// resets before every attempt).
 //
-// The IRB-array site needs one extra guard: lane injectors must not
-// corrupt the leader's real reuse buffer, so AfterIRBInsert probes run
+// The last lane rides the leader. Once a single injector lane is left and
+// no fault-free lane needs the clean trajectory, nothing else consumes the
+// leader's run, so the lane stops being a probe and becomes the leader's
+// own injector: at its due opportunities it sees the live values and the
+// real IRB, and its fires are applied instead of evicting it. Up to that
+// point its scalar run was the leader's (it had not fired), and from then
+// on the leader makes exactly the calls its scalar run makes, less the
+// quiet ones the Quiet contract lets it skip, so the leader's run is the
+// lane's scalar run and the lane is served its result. No batch drains:
+// the leader's work is never thrown away.
+//
+// The IRB-array site needs one extra guard: a probing lane must not
+// corrupt the leader's real reuse buffer, so its AfterIRBInsert probes run
 // against a scratch IRB of the same geometry. Corruption calls on it are
 // harmless no-ops (the probed PC was never inserted there), the injector's
 // PRNG draws are identical either way, and the fire is detected through
@@ -125,7 +129,7 @@ type BatchSim struct {
 	next [oppKinds]uint64
 
 	active    int // injector lanes not yet diverged
-	faultFree int // lanes with no injector; they keep the leader alive
+	faultFree int // lanes with no injector; they keep the leader clean
 }
 
 // NewBatchSim builds a batch over the given core, one lane per injector
@@ -202,10 +206,9 @@ func (b *BatchSim) Diverged(i int) (seq uint64, diverged bool) {
 }
 
 // evict retires lane i from the batch at the opportunity that fired and
-// takes it off every kind's schedule. When the last injector lane leaves
-// and no fault-free lane needs the full run, the leader aborts with
-// ErrBatchDrained — unless the run is already over (an oracle divergence
-// or a completed program must keep its own outcome).
+// takes it off every kind's schedule. When it leaves a single injector
+// lane and the batch has no fault-free lane, that lane rides the leader
+// from its next due opportunity on (see BatchSim).
 func (b *BatchSim) evict(i int, seq uint64) {
 	b.diverged[i] = true
 	b.struck[i] = seq
@@ -213,17 +216,15 @@ func (b *BatchSim) evict(i int, seq uint64) {
 		b.due[k][i] = notDue
 	}
 	b.active--
-	if b.active == 0 && b.faultFree == 0 && !b.c.done {
-		b.c.Abort(ErrBatchDrained)
-	}
 }
 
-// FUResult implements FaultInjector for the batch leader: the leader's
-// signature passes through clean. At a due opportunity each due lane's
-// injector is probed with it; a changed return value or a bumped fire
-// count means the lane's scalar run would differ from the shared
-// trajectory from this opportunity on, so the lane is evicted, and
-// otherwise it is re-armed past the quiet opportunities that follow.
+// FUResult implements FaultInjector for the batch leader. At a due
+// opportunity each due lane's injector is probed with the leader's
+// signature. A probing lane's result is discarded: a changed value or a
+// bumped fire count means the lane's scalar run would differ from the
+// shared trajectory from this opportunity on, so the lane is evicted,
+// and otherwise it is re-armed past the quiet opportunities that follow.
+// The riding lane's result is the leader's: its strikes are applied.
 //
 //lint:hotpath
 func (b *BatchSim) FUResult(seq, pc uint64, dup bool, sig uint64) uint64 {
@@ -232,11 +233,15 @@ func (b *BatchSim) FUResult(seq, pc uint64, dup bool, sig uint64) uint64 {
 	if n < b.next[oppFU] {
 		return sig
 	}
+	out := sig
 	next := uint64(notDue)
 	for i, d := range b.due[oppFU] {
 		if d == n {
 			inj := b.inj[i]
-			if inj.FUResult(seq, pc, dup, sig) != sig || inj.InjectedCount() != b.injected[i] {
+			v := inj.FUResult(seq, pc, dup, sig)
+			if b.active == 1 && b.faultFree == 0 {
+				out = v // riding: the leader's run is this lane's
+			} else if v != sig || inj.InjectedCount() != b.injected[i] {
 				b.evict(i, seq)
 				continue
 			}
@@ -246,7 +251,7 @@ func (b *BatchSim) FUResult(seq, pc uint64, dup bool, sig uint64) uint64 {
 		next = min(next, d)
 	}
 	b.next[oppFU] = next
-	return sig
+	return out
 }
 
 // Operand implements FaultInjector; see FUResult.
@@ -258,11 +263,15 @@ func (b *BatchSim) Operand(seq, pc uint64, dup bool, which int, val uint64) uint
 	if n < b.next[oppOperand] {
 		return val
 	}
+	out := val
 	next := uint64(notDue)
 	for i, d := range b.due[oppOperand] {
 		if d == n {
 			inj := b.inj[i]
-			if inj.Operand(seq, pc, dup, which, val) != val || inj.InjectedCount() != b.injected[i] {
+			v := inj.Operand(seq, pc, dup, which, val)
+			if b.active == 1 && b.faultFree == 0 {
+				out = v // riding: the leader's run is this lane's
+			} else if v != val || inj.InjectedCount() != b.injected[i] {
 				b.evict(i, seq)
 				continue
 			}
@@ -272,16 +281,17 @@ func (b *BatchSim) Operand(seq, pc uint64, dup bool, which int, val uint64) uint
 		next = min(next, d)
 	}
 	b.next[oppOperand] = next
-	return val
+	return out
 }
 
-// AfterIRBInsert implements FaultInjector; see FUResult. Due lanes are
-// probed against the scratch IRB — never the leader's live buffer — so a
-// firing strike corrupts nothing shared; it is observed through the fire
-// count alone and evicts the lane like any other divergence.
+// AfterIRBInsert implements FaultInjector; see FUResult. A probing lane
+// is probed against the scratch IRB — never the leader's live buffer — so
+// a firing strike corrupts nothing shared; it is observed through the
+// fire count alone and evicts the lane like any other divergence. The
+// riding lane strikes the live buffer, as in its scalar run.
 //
 //lint:hotpath
-func (b *BatchSim) AfterIRBInsert(pc uint64, _ *irb.IRB) {
+func (b *BatchSim) AfterIRBInsert(pc uint64, live *irb.IRB) {
 	n := b.seen[oppIRBInsert]
 	b.seen[oppIRBInsert]++
 	if n < b.next[oppIRBInsert] {
@@ -291,10 +301,14 @@ func (b *BatchSim) AfterIRBInsert(pc uint64, _ *irb.IRB) {
 	for i, d := range b.due[oppIRBInsert] {
 		if d == n {
 			inj := b.inj[i]
-			inj.AfterIRBInsert(pc, b.scratch)
-			if inj.InjectedCount() != b.injected[i] {
-				b.evict(i, 0)
-				continue
+			if b.active == 1 && b.faultFree == 0 {
+				inj.AfterIRBInsert(pc, live) // riding
+			} else {
+				inj.AfterIRBInsert(pc, b.scratch)
+				if inj.InjectedCount() != b.injected[i] {
+					b.evict(i, 0)
+					continue
+				}
 			}
 			d = n + 1 + inj.QuietIRBInsert(quietWindow)
 			b.due[oppIRBInsert][i] = d

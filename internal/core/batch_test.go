@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -35,24 +35,31 @@ func TestNewBatchSimValidation(t *testing.T) {
 }
 
 // TestBatchSimLaneAccounting: construction resets lane injectors and
-// installs the shim; eviction retires lanes one by one, and draining a
-// batch with no fault-free lane aborts the leader with ErrBatchDrained.
+// installs the shim; the first lane to fire is evicted, and the last one
+// left, with no fault-free lane in the batch, rides the leader to the end:
+// the leader's run is exactly that lane's scalar run, statistics and fire
+// count alike.
 func TestBatchSimLaneAccounting(t *testing.T) {
-	prog := loopProgram(50)
+	prog := loopProgram(400)
+	spec := func(seed uint64) fault.Config {
+		return fault.Config{Site: fault.FU, Rate: 0.01, Seed: seed}
+	}
 	c, err := New(BaseDIE(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var injs []FaultInjector
+	var injs []*fault.Injector
+	var lanes []FaultInjector
 	for seed := uint64(1); seed <= 2; seed++ {
-		inj, ferr := fault.New(fault.Config{Site: fault.FU, Rate: 0.9, Seed: seed})
+		inj, ferr := fault.New(spec(seed))
 		if ferr != nil {
 			t.Fatal(ferr)
 		}
 		inj.FUResult(1, 0, false, 0) // consumed state: NewBatchSim must Reset it
 		injs = append(injs, inj)
+		lanes = append(lanes, inj)
 	}
-	bs, err := NewBatchSim(c, injs)
+	bs, err := NewBatchSim(c, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,23 +67,50 @@ func TestBatchSimLaneAccounting(t *testing.T) {
 		t.Fatalf("Lanes/Active = %d/%d, want 2/2", bs.Lanes(), bs.Active())
 	}
 	for i, inj := range injs {
-		if inj.(*fault.Injector).Injected != 0 {
+		if inj.Injected != 0 {
 			t.Errorf("lane %d injector not reset at construction", i)
 		}
 	}
 
-	// At rate 0.9 both lanes fire on the first probes; with no fault-free
-	// lane the leader must drain out of Run with ErrBatchDrained.
-	err = c.Run()
-	if !errors.Is(err, ErrBatchDrained) {
-		t.Fatalf("Run() = %v, want ErrBatchDrained", err)
+	if err := c.Run(); err != nil {
+		t.Fatalf("Run() = %v, want the riding lane's run to complete", err)
 	}
-	if bs.Active() != 0 {
-		t.Errorf("Active = %d after drain, want 0", bs.Active())
+	if bs.Active() != 1 {
+		t.Fatalf("Active = %d after the run, want 1 (the riding lane)", bs.Active())
 	}
+	rider := -1
 	for i := range injs {
-		if seq, div := bs.Diverged(i); !div || seq == 0 {
-			t.Errorf("lane %d: Diverged = (%d,%t), want a nonzero strike seq", i, seq, div)
+		seq, div := bs.Diverged(i)
+		switch {
+		case !div:
+			rider = i
+		case seq == 0:
+			t.Errorf("lane %d: diverged with no strike seq", i)
 		}
+	}
+	if rider < 0 {
+		t.Fatal("no lane rode the leader")
+	}
+	if injs[rider].Injected == 0 {
+		t.Fatal("the riding lane never fired; the test exercises nothing")
+	}
+
+	ref, err := fault.New(spec(uint64(rider + 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar, err := New(BaseDIE(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar.SetInjector(ref)
+	if err := scalar.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c.Stats, scalar.Stats) {
+		t.Errorf("riding lane's leader run differs from its scalar run:\nbatch:  %+v\nscalar: %+v", c.Stats, scalar.Stats)
+	}
+	if injs[rider].Injected != ref.Injected {
+		t.Errorf("riding lane fired %d faults, its scalar run %d", injs[rider].Injected, ref.Injected)
 	}
 }

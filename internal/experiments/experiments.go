@@ -124,19 +124,29 @@ func runGrid(cfgs []sim.NamedConfig, opts Options) (*Grid, error) {
 // per-cell failure (and the context error, on cancellation) while the
 // grid keeps whatever completed.
 func runGridProfiles(cfgs []sim.NamedConfig, profiles []workload.Profile, opts Options) (*Grid, error) {
-	g := &Grid{}
-	for _, nc := range cfgs {
-		g.Configs = append(g.Configs, nc.Name)
-	}
+	outs, err := runner.Run(opts.ctx(), gridJobs(cfgs, profiles, opts), opts.runnerOpts())
+	return newGrid(cfgs, profiles, outs), err
+}
+
+// gridJobs builds one cell per (profile × configuration), profile-major.
+func gridJobs(cfgs []sim.NamedConfig, profiles []workload.Profile, opts Options) []runner.Job {
 	jobs := make([]runner.Job, 0, len(profiles)*len(cfgs))
 	for _, p := range profiles {
-		g.Benchmarks = append(g.Benchmarks, p.Name)
 		for _, nc := range cfgs {
 			jobs = append(jobs, runner.Job{Name: nc.Name, Config: nc.Cfg, Profile: p, Opts: opts.simOpts()})
 		}
 	}
-	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())
-	for b := range profiles {
+	return jobs
+}
+
+// newGrid assembles the outcomes of gridJobs' cells into a Grid.
+func newGrid(cfgs []sim.NamedConfig, profiles []workload.Profile, outs []runner.Outcome) *Grid {
+	g := &Grid{}
+	for _, nc := range cfgs {
+		g.Configs = append(g.Configs, nc.Name)
+	}
+	for b, p := range profiles {
+		g.Benchmarks = append(g.Benchmarks, p.Name)
 		row := make([]sim.Result, len(cfgs))
 		errRow := make([]error, len(cfgs))
 		for c := range cfgs {
@@ -146,7 +156,7 @@ func runGridProfiles(cfgs []sim.NamedConfig, profiles []workload.Profile, opts O
 		g.Results = append(g.Results, row)
 		g.Errs = append(g.Errs, errRow)
 	}
-	return g, err
+	return g
 }
 
 // Fig2 reproduces the paper's Figure 2: percentage IPC loss with respect
@@ -469,25 +479,27 @@ func (r *FaultRow) add(o FaultRow) {
 	r.Scrubs += o.Scrubs
 }
 
-// runCampaigns runs every campaign on every profile of opts, one
-// oracle-verified cell each with its own injector seeded by the profile,
-// and folds each campaign's cells into one row. ipc holds each
-// campaign's suite-mean IPC under injection. The fold is
-// order-independent, so no worker count changes a counter.
-func runCampaigns(cs []campaign, opts Options) (rows []FaultRow, ipc []float64, err error) {
+// runCampaigns runs the fault-free grid of cfgs and every campaign of cs
+// on every profile of opts in one runner call, so each workload's trace
+// is captured once for both and a campaign's cells can batch with the
+// fault-free cell of their machine. Each campaign cell is oracle-verified
+// with its own injector seeded by the profile, and each campaign's cells
+// fold into one row; ipc holds each campaign's suite-mean IPC under
+// injection. The fold is order-independent, so no worker count changes a
+// counter.
+func runCampaigns(cfgs []sim.NamedConfig, cs []campaign, opts Options) (g *Grid, rows []FaultRow, ipc []float64, err error) {
 	profiles, err := workload.ByNames(opts.Benchmarks)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	var (
-		jobs []runner.Job
-		injs []*fault.Injector
-	)
+	jobs := gridJobs(cfgs, profiles, opts)
+	grid := len(jobs)
+	var injs []*fault.Injector
 	for _, c := range cs {
 		for _, p := range profiles {
 			inj, err := fault.New(fault.Config{Site: c.site, Rate: c.rate, Seed: p.Seed})
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			o := opts.simOpts()
 			o.Injector = inj
@@ -503,8 +515,9 @@ func runCampaigns(cs []campaign, opts Options) (rows []FaultRow, ipc []float64, 
 	}
 	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
+	g, outs = newGrid(cfgs, profiles, outs[:grid]), outs[grid:]
 	rows = make([]FaultRow, len(cs))
 	ipc = make([]float64, len(cs))
 	for ci, c := range cs {
@@ -518,7 +531,7 @@ func runCampaigns(cs []campaign, opts Options) (rows []FaultRow, ipc []float64, 
 		row.Vanished = int64(row.Injected) - int64(row.Detected) - int64(row.Masked) - int64(row.Silent)
 		rows[ci], ipc[ci] = row, stats.Mean(ipcs)
 	}
-	return rows, ipc, nil
+	return g, rows, ipc, nil
 }
 
 // Faults validates the redundancy argument of Section 3.4: single-bit
@@ -529,7 +542,7 @@ func runCampaigns(cs []campaign, opts Options) (rows []FaultRow, ipc []float64, 
 // rewind and re-execution, so the runs finish with oracle-verified final
 // state: the oracle check is forced on regardless of Options.Verify.
 func Faults(opts Options) ([]FaultRow, *stats.Table, error) {
-	rows, _, err := runCampaigns(campaigns(faultRate, core.DIE, core.DIEIRB), opts)
+	_, rows, _, err := runCampaigns(nil, campaigns(faultRate, core.DIE, core.DIEIRB), opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -571,10 +584,6 @@ func RecoveryRates() []float64 { return []float64{1e-5, 1e-4, 1e-3} }
 func Recovery(opts Options) ([]RecoveryRow, *stats.Table, error) {
 	opts.Verify = true
 	modes := []core.Mode{core.DIE, core.DIEIRB}
-	g, err := runGrid(modeConfigs(modes...), opts)
-	if err != nil {
-		return nil, nil, err
-	}
 	var cs []campaign
 	for _, c := range campaigns(0, modes...) {
 		for _, rate := range RecoveryRates() {
@@ -582,7 +591,7 @@ func Recovery(opts Options) ([]RecoveryRow, *stats.Table, error) {
 			cs = append(cs, c)
 		}
 	}
-	frows, ipc, err := runCampaigns(cs, opts)
+	g, frows, ipc, err := runCampaigns(modeConfigs(modes...), cs, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -25,21 +25,16 @@ type FrontierRow struct {
 // Frontier runs the six-way redundancy comparison the mode registry was
 // built for: every registered detecting mode plus the single-stream
 // baseline on one table of fault-free IPC, IPC loss, detection coverage
-// and MTTR. Phase one is the oracle-verified fault-free grid; phase two
-// sweeps the registry-derived injection matrix (rate 3e-4 per site, the
-// same operating point as the Faults experiment) and aggregates each
-// mode's campaigns into a single row. Verification is forced on for both
-// phases, so a silent corruption in any mode fails the run rather than
-// skewing a number.
+// and MTTR. One runner call holds the oracle-verified fault-free grid and
+// the registry-derived injection matrix (rate 3e-4 per site, the same
+// operating point as the Faults experiment), and each mode's campaigns
+// aggregate into a single row. Verification is forced on for every cell,
+// so a silent corruption in any mode fails the run rather than skewing a
+// number.
 func Frontier(opts Options) ([]FrontierRow, *stats.Table, error) {
 	opts.Verify = true
 	cfgs := sim.FrontierConfigs()
-	g, err := runGrid(cfgs, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	camps, _, err := runCampaigns(campaigns(faultRate), opts)
+	g, camps, _, err := runCampaigns(cfgs, campaigns(faultRate), opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -25,20 +25,17 @@ type TRBRow struct {
 }
 
 // TRBAblation runs the trace-reuse ablation: DIE vs DIE-IRB vs DIE-TRB
-// on one fault-free oracle-verified grid (phase one), then DIE-TRB under
-// single-bit injection at all four sites (phase two, rate 3e-4 — the
-// Faults experiment's operating point). Verification is forced on for
+// on one fault-free oracle-verified grid, and DIE-TRB under single-bit
+// injection at all four sites (rate 3e-4 — the Faults experiment's
+// operating point), all in one runner call. Verification is forced on for
 // every run: a silent corruption in the trace path fails the run rather
 // than skewing a number. The returned table carries the per-benchmark
 // IPC ladder and reuse composition, an AVERAGE row, and one fault@site
 // row per campaign for the silent-corruption gate in CI.
 func TRBAblation(opts Options) ([]TRBRow, []FaultRow, *stats.Table, error) {
 	opts.Verify = true
-	g, err := runGrid(modeConfigs(core.DIE, core.DIEIRB, core.DIETRB), opts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	frows, _, err := runCampaigns(campaigns(faultRate, core.DIETRB), opts)
+	g, frows, _, err := runCampaigns(modeConfigs(core.DIE, core.DIEIRB, core.DIETRB),
+		campaigns(faultRate, core.DIETRB), opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -15,32 +15,34 @@ import (
 // fault-free baseline — run as one batched sim.RunBatchContext call
 // instead of K scalar cells: the leader pays fetch/decode/replay/verify
 // once, each lane only its injection probes. Lanes whose injector fires
-// diverge from the shared trajectory and fall back to ordinary scalar
-// cells in a second dispatch phase, so batching is invisible to callers:
-// per-cell results, errors, progress reports and cache entries are
-// exactly those of a scalar sweep.
+// diverge from the shared trajectory and join the run's queue as ordinary
+// scalar cells the moment their group returns, so batching is invisible
+// to callers: per-cell results, errors, progress reports and cache
+// entries are exactly those of a scalar sweep.
 
 // simRunBatch is sim.RunBatchContext, indirected like simRun so harness
 // tests can substitute it.
 var simRunBatch = sim.RunBatchContext
 
 // task is one unit of worker dispatch: a single scalar cell (lanes holds
-// its job index) or a batch group (lanes holds every member's index).
+// its job index) or a batch group (lanes holds every member's index),
+// priced for longest-processing-time ordering.
 type task struct {
 	lanes []int
 	batch bool
+	cost  float64
 }
 
-// cost prices a task for longest-processing-time ordering. A batch group
-// is summed over its lanes: its leader does one cell's work, but the
-// group stands in for all of them and any divergence respawns lanes as
-// scalar cells, so scheduling it early keeps the tail short either way.
-func (t task) cost(jobs []Job) float64 {
-	var c float64
-	for _, i := range t.lanes {
-		c += jobs[i].Cost()
+// newTask builds and prices a task. A batch group is summed over its
+// lanes: its leader does one cell's work, but the group stands in for all
+// of them and any divergence respawns lanes as scalar cells, so
+// scheduling it early keeps the tail short either way.
+func newTask(jobs []Job, lanes []int, batch bool) task {
+	t := task{lanes: lanes, batch: batch}
+	for _, i := range lanes {
+		t.cost += jobs[i].Cost()
 	}
-	return c
+	return t
 }
 
 // batchKey computes the grouping key of a job: the content fingerprint of

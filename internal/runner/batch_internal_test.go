@@ -246,6 +246,57 @@ func TestDivergedLanesRerunOnAllWorkers(t *testing.T) {
 	}
 }
 
+// TestDivergedLaneRerunsWhileGroupRuns: a group's diverged lanes join
+// the run's one queue as soon as their group returns, so one group's
+// re-run proceeds while a second group's leader is still running instead
+// of waiting for every leader to finish.
+func TestDivergedLaneRerunsWhileGroupRuns(t *testing.T) {
+	rerunStarted := make(chan struct{})
+	var waited atomic.Bool
+	swapSimRunBatch(t, func(_ context.Context, _ string, _ core.Config, p workload.Profile, _ sim.Options, lanes []sim.BatchLane) ([]sim.BatchOutcome, error) {
+		outs := make([]sim.BatchOutcome, len(lanes))
+		for i := range outs {
+			outs[i] = sim.BatchOutcome{Result: sim.Result{Config: "batch"}}
+		}
+		if p.Name == "fast" {
+			outs[1] = sim.BatchOutcome{Diverged: true, StruckSeq: 7}
+			return outs, nil
+		}
+		// The slow leader finishes only once the fast group's diverged
+		// lane has started its scalar re-run.
+		select {
+		case <-rerunStarted:
+			waited.Store(true)
+		case <-time.After(2 * time.Second):
+		}
+		return outs, nil
+	})
+	swapSimRun(t, func(_ context.Context, _ string, _ core.Config, p workload.Profile, _ sim.Options) (sim.Result, error) {
+		if p.Name == "fast" {
+			close(rerunStarted)
+		}
+		return sim.Result{Config: "scalar"}, nil
+	})
+
+	jobs := append(campaignStubJobs(t, "slow", 3), campaignStubJobs(t, "fast", 3)...)
+	outs, err := Run(context.Background(), jobs, Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !waited.Load() {
+		t.Error("the diverged lane did not re-run until every batch leader had finished")
+	}
+	for i, o := range outs {
+		want := "batch"
+		if i == 4 {
+			want = "scalar"
+		}
+		if o.Result.Config != want {
+			t.Errorf("cell %d served by %q, want %q", i, o.Result.Config, want)
+		}
+	}
+}
+
 // TestBatchLeaderPanicFallsBack: a panic under the batched leader is
 // contained exactly like a scalar cell panic — and because batch groups
 // retry as scalar cells, the sweep can still complete cleanly.

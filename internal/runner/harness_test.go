@@ -26,6 +26,14 @@ func swapSimRun(t *testing.T, fn func(context.Context, string, core.Config, work
 	t.Cleanup(func() { simRun = prev })
 }
 
+// handBackAll is an Execute seam that takes nothing: it settles every
+// cell with ErrRunLocal.
+func handBackAll(_ context.Context, jobs []Job, settle func(int, sim.Result, error)) {
+	for k := range jobs {
+		settle(k, sim.Result{}, ErrRunLocal)
+	}
+}
+
 func stubJobs(benches ...string) []Job {
 	jobs := make([]Job, len(benches))
 	for i, b := range benches {
@@ -96,10 +104,10 @@ func TestCellTimeoutRetriesOnce(t *testing.T) {
 
 	for _, tc := range []struct {
 		name    string
-		execute func(context.Context, Job) (sim.Result, error)
+		execute func(context.Context, []Job, func(int, sim.Result, error))
 	}{
 		{"in-process", nil},
-		{"handed-back", func(context.Context, Job) (sim.Result, error) { return sim.Result{}, ErrRunLocal }},
+		{"handed-back", handBackAll},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hangCalls.Store(0)
@@ -163,5 +171,75 @@ func TestSweepCancelNotMistakenForCellTimeout(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("cancelled cell dispatched %d times, want 1 (no retry)", got)
+	}
+}
+
+// TestHandedBackCellsBoundedByParallelism: Execute receives the whole run
+// in one call, and the cells it hands back queue for Parallelism workers —
+// a run whose dispatcher takes nothing never simulates more cells at once
+// than Parallelism allows, however many it has.
+func TestHandedBackCellsBoundedByParallelism(t *testing.T) {
+	var running, peak atomic.Int32
+	swapSimRun(t, func(_ context.Context, _ string, _ core.Config, p workload.Profile, _ sim.Options) (sim.Result, error) {
+		n := running.Add(1)
+		for {
+			pk := peak.Load()
+			if n <= pk || peak.CompareAndSwap(pk, n) {
+				break
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
+		running.Add(-1)
+		return sim.Result{Bench: p.Name}, nil
+	})
+	var calls, shipped atomic.Int32
+	jobs := stubJobs("a", "b", "c", "d", "e", "f", "g", "h")
+	outs, err := Run(context.Background(), jobs, Options{
+		Parallelism: 2,
+		Execute: func(ctx context.Context, sub []Job, settle func(int, sim.Result, error)) {
+			calls.Add(1)
+			shipped.Add(int32(len(sub)))
+			handBackAll(ctx, sub, settle)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 1 || shipped.Load() != int32(len(jobs)) {
+		t.Errorf("Execute called %d times with %d cells, want once with %d", calls.Load(), shipped.Load(), len(jobs))
+	}
+	for _, o := range outs {
+		if o.Err != nil || o.Result.Bench != o.Job.Profile.Name {
+			t.Errorf("cell %s: result %+v, error %v", o.Job.Profile.Name, o.Result, o.Err)
+		}
+	}
+	if got := peak.Load(); got != 2 {
+		t.Errorf("peak concurrent in-process cells = %d, want 2 (Parallelism)", got)
+	}
+}
+
+// TestExecutePanicFailsUnsettledCells: a panic inside the Execute seam
+// fails exactly the cells it had not settled, each with a
+// *CellPanicError; a cell it settled keeps its result.
+func TestExecutePanicFailsUnsettledCells(t *testing.T) {
+	jobs := stubJobs("a", "b", "c")
+	outs, err := Run(context.Background(), jobs, Options{
+		Parallelism: 1,
+		Execute: func(_ context.Context, sub []Job, settle func(int, sim.Result, error)) {
+			settle(0, sim.Result{Bench: sub[0].Profile.Name}, nil)
+			panic("dispatcher poisoned")
+		},
+	})
+	var pe *CellPanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("run error %v does not wrap *CellPanicError", err)
+	}
+	if outs[0].Err != nil || outs[0].Result.Bench != "a" {
+		t.Errorf("settled cell: result %+v, error %v", outs[0].Result, outs[0].Err)
+	}
+	for _, o := range outs[1:] {
+		if !errors.As(o.Err, &pe) || pe.Value != "dispatcher poisoned" || pe.Bench != o.Job.Profile.Name {
+			t.Errorf("cell %s: error %v, want its own *CellPanicError", o.Job.Profile.Name, o.Err)
+		}
 	}
 }

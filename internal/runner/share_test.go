@@ -109,13 +109,15 @@ func TestRunSharesTraceOfRepeatedWorkload(t *testing.T) {
 	)
 	_, err = Run(context.Background(), jobs, Options{
 		Parallelism: 2,
-		Execute: func(_ context.Context, j Job) (sim.Result, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			if j.Opts.Trace != nil {
-				shipped++
+		Execute: func(_ context.Context, sub []Job, settle func(int, sim.Result, error)) {
+			for k, j := range sub {
+				mu.Lock()
+				if j.Opts.Trace != nil {
+					shipped++
+				}
+				mu.Unlock()
+				settle(k, sim.Result{Bench: j.Profile.Name, Config: j.Name}, nil)
 			}
-			return sim.Result{Bench: j.Profile.Name, Config: j.Name}, nil
 		},
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -47,12 +46,12 @@ type BatchOutcome struct {
 //
 // The returned slice has one outcome per lane. Convergent lanes' Results
 // are bit-identical to what RunContext would produce for them. Their
-// injectors have fired nothing, but may have drawn ahead of where a
-// scalar run would leave them (core.BatchSim skips quiet opportunities in
-// windows), so Reset an injector before it steers another run. Diverged
-// lanes are flagged for a scalar re-run. When every lane diverges the
-// leader exits early (the batch is drained) rather than finishing a run
-// nobody consumes.
+// injectors may have drawn ahead of where a scalar run would leave them
+// (core.BatchSim skips quiet opportunities in windows), so Reset an
+// injector before it steers another run. Diverged lanes are flagged for a
+// scalar re-run. At least one lane always converges: with no fault-free
+// lane, the last injector lane left rides the leader, whose run is then
+// that lane's scalar run.
 //
 // A non-nil error reports that the leader could not complete: the batch
 // produced nothing and every lane should fall back to a scalar run, which
@@ -96,12 +95,10 @@ func RunBatchContext(ctx context.Context, name string, cfg core.Config, p worklo
 		defer stop()
 	}
 
-	runErr := c.Run()
-	drained := errors.Is(runErr, core.ErrBatchDrained)
-	if runErr != nil && !drained {
-		return nil, mapRunErr(runErr, ctx, p.Name, name)
+	if err := c.Run(); err != nil {
+		return nil, mapRunErr(err, ctx, p.Name, name)
 	}
-	if !drained && opts.Program == nil && c.Stats.Committed < opts.Insns {
+	if opts.Program == nil && c.Stats.Committed < opts.Insns {
 		return nil, fmt.Errorf("%w: %s on %s committed only %d/%d instructions",
 			ErrProgramTooShort, p.Name, name, c.Stats.Committed, opts.Insns)
 	}

@@ -144,26 +144,72 @@ func TestBatchLaneBitIdentityAllModes(t *testing.T) {
 	}
 }
 
-// TestBatchDrainedAllLanesDiverge: when every lane's injector fires and no
-// fault-free lane keeps the leader useful, the run ends early with every
-// outcome flagged diverged — not an error, since each lane re-runs scalar.
-func TestBatchDrainedAllLanesDiverge(t *testing.T) {
+// TestBatchLastLaneRidesLeader: in a batch with no fault-free lane, the
+// lanes whose injectors fire are evicted until one is left, and that lane
+// rides the leader to the end — its strikes applied to the live values and
+// the real IRB — so it converges with exactly its scalar run's result and
+// fire count, while the evicted lanes re-run scalar as usual.
+func TestBatchLastLaneRidesLeader(t *testing.T) {
 	p := gzipProfile(t)
-	var lanes []BatchLane
-	for seed := uint64(1); seed <= 3; seed++ {
-		inj, err := fault.New(fault.Config{Site: fault.FU, Rate: 0.05, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
+	opts := Options{Insns: 10_000, Verify: true}
+	// The IRB sites strike at a higher rate: most IRB strikes hit entries
+	// that are never reused, and a riding lane's strike must show in its
+	// result for the test to tell the live IRB from the scratch one.
+	for _, tc := range []struct {
+		mode core.Mode
+		cfg  core.Config
+		site fault.Site
+		rate float64
+	}{
+		{core.DIE, core.BaseDIE(), fault.FU, 2e-3},
+		{core.DIE, core.BaseDIE(), fault.Forward, 2e-3},
+		{core.DIEIRB, core.BaseDIEIRB(), fault.IRBResult, 1e-2},
+		{core.DIEIRB, core.BaseDIEIRB(), fault.IRBOperand, 1e-2},
+	} {
+		spec := func(seed uint64) fault.Config {
+			return fault.Config{Site: tc.site, Rate: tc.rate, Seed: seed}
 		}
-		lanes = append(lanes, BatchLane{Name: fmt.Sprintf("s%d", seed), Injector: inj})
-	}
-	outs, err := RunBatchContext(nil, "DIE", core.BaseDIE(), p, Options{Insns: 30_000}, lanes)
-	if err != nil {
-		t.Fatalf("drained batch returned an error: %v", err)
-	}
-	for i, out := range outs {
-		if !out.Diverged {
-			t.Errorf("lane %d did not diverge at rate 0.05 over 30k instructions", i)
+		var lanes []BatchLane
+		var injs []*fault.Injector
+		for seed := uint64(1); seed <= 3; seed++ {
+			inj, err := fault.New(spec(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lanes = append(lanes, BatchLane{Name: fmt.Sprintf("%s/%s-%d", tc.mode, tc.site, seed), Injector: inj})
+			injs = append(injs, inj)
+		}
+		outs, err := RunBatchContext(nil, string(tc.mode), tc.cfg, p, opts, lanes)
+		if err != nil {
+			t.Fatalf("%s@%s: batch run failed: %v", tc.mode, tc.site, err)
+		}
+		riders := 0
+		for i, out := range outs {
+			if out.Diverged {
+				continue
+			}
+			riders++
+			ref, err := fault.New(spec(uint64(i + 1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			refOpts := opts
+			refOpts.Injector = ref
+			want, err := Run(lanes[i].Name, tc.cfg, p, refOpts)
+			if err != nil {
+				t.Fatalf("%s: scalar reference failed: %v", lanes[i].Name, err)
+			}
+			if !reflect.DeepEqual(out.Result, want) {
+				t.Errorf("%s: riding lane differs from its scalar run:\nbatch:  %+v\nscalar: %+v",
+					lanes[i].Name, out.Result, want)
+			}
+			if ref.Injected == 0 || injs[i].Injected != ref.Injected {
+				t.Errorf("%s: riding lane fired %d faults, its scalar run %d (want equal and nonzero)",
+					lanes[i].Name, injs[i].Injected, ref.Injected)
+			}
+		}
+		if riders != 1 {
+			t.Errorf("%s@%s: %d convergent lanes, want exactly the one riding lane", tc.mode, tc.site, riders)
 		}
 	}
 }
