@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/backoff"
@@ -146,6 +147,16 @@ type Worker struct {
 	// OnError, when non-nil, observes transient loop errors (logging
 	// seam; the loop always keeps going).
 	OnError func(error)
+
+	// grants counts the non-empty lease replies received and granted the
+	// cells they carried (each cell is its own lease at the coordinator).
+	grants, granted atomic.Uint64
+}
+
+// Grants reports the lease grants this worker has received and the cells
+// they carried; their ratio is the cells each grant brought.
+func (w *Worker) Grants() (grants, cells uint64) {
+	return w.grants.Load(), w.granted.Load()
 }
 
 // completeAttempts bounds the delivery retries for one completion batch
@@ -186,6 +197,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		}
+		w.grants.Add(1)
+		w.granted.Add(uint64(len(resp.Leases)))
 		w.process(ctx, resp, pol, rng)
 	}
 }

@@ -280,6 +280,67 @@ func TestWorkerPollCadence(t *testing.T) {
 	}
 }
 
+// TestWorkerCountsLeaseGrants: a worker counts each non-empty lease reply
+// as one grant and every cell it carried, including a cell it cannot
+// rebuild; empty replies count nothing.
+func TestWorkerCountsLeaseGrants(t *testing.T) {
+	var (
+		mu       sync.Mutex
+		polls    int
+		reported []api.CellCompletion
+	)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		polls++
+		n := polls
+		mu.Unlock()
+		resp := api.LeaseResponse{PollMillis: 60_000} // from the third reply on, a wait that outlasts the test
+		switch n {
+		case 1:
+			resp.PollMillis = 0 // held, empty
+		case 2:
+			resp.Leases = []api.Lease{
+				{ID: "lease-1", Cell: api.Cell{ID: 1, Name: "SIE", Insns: 100}},
+				{ID: "lease-2", Cell: api.Cell{ID: 2, Name: "SIE", Insns: 200}},
+				{ID: "lease-3", Cell: api.Cell{ID: 3, Name: "SIE",
+					Fault: &api.FaultSpec{Site: "nonesuch", Rate: 1e-3}}},
+			}
+		}
+		json.NewEncoder(w).Encode(resp)
+	})
+	mux.HandleFunc("/v1/complete", func(w http.ResponseWriter, r *http.Request) {
+		var req api.CompleteRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		mu.Lock()
+		reported = append(reported, req.Cells...)
+		mu.Unlock()
+		json.NewEncoder(w).Encode(api.CompleteResponse{Accepted: len(req.Cells)})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	w := &Worker{Client: &Client{BaseURL: srv.URL}, ID: "w1",
+		Exec: func(_ context.Context, jobs []runner.Job) []runner.Outcome { return make([]runner.Outcome, len(jobs)) }}
+	go func() { done <- w.Run(ctx) }()
+	waitFor(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return polls >= 3 && len(reported) == 3
+	})
+	cancel()
+	<-done
+
+	if grants, cells := w.Grants(); grants != 1 || cells != 3 {
+		t.Errorf("Grants() = %d grants, %d cells; want 1 grant of 3 cells", grants, cells)
+	}
+	if reported[2].Error == "" {
+		t.Error("the unrebuildable cell was reported without an error")
+	}
+}
+
 // waitFor polls cond for up to 5s.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

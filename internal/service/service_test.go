@@ -240,6 +240,9 @@ func TestServiceCacheHitOnRepeat(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	if strings.Contains(metrics, "simserved_fabric_") {
+		t.Error("a standalone daemon's /metrics renders fabric counters")
+	}
 
 	// The run records stay retrievable afterwards.
 	code, body := get(t, ts.URL+"/v1/runs/"+first.ID)
