@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzIRBLookup -fuzztime=20s -run '^$$' ./internal/irb
 	$(GO) test -fuzz=FuzzTRBLookup -fuzztime=20s -run '^$$' ./internal/trb
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=20s -run '^$$' ./internal/fabric
+	$(GO) test -fuzz=FuzzLeaseProtocol -fuzztime=20s -run '^$$' ./internal/fabric
 	$(GO) test -fuzz=FuzzQuietMatchesProbing -fuzztime=20s -run '^$$' ./internal/fault
 
 # Run the serving daemon (README "Serving" section for the API).

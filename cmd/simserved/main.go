@@ -14,11 +14,12 @@
 //	go run ./cmd/simserved -role coordinator -data-dir /var/lib/simserved
 //	go run ./cmd/simserved -role worker -peers http://coord:8344 -addr :8345
 //
-// A coordinator shards grid cells across pull-based workers under
-// heartbeat-renewed leases, re-queues cells lost to crashes, degrades to
-// in-process execution with no workers live, and journals run state so
-// its own restarts resume from the last completed cell. A worker is a
-// standalone daemon that additionally pulls leased cells from -peers.
+// A coordinator shards grid cells across pull-based workers, each cell
+// held by its worker for as long as the worker heartbeats, re-queues
+// cells lost to crashes and restarts, degrades to in-process execution
+// with no workers live, and journals run state so its own restarts
+// resume from the last completed cell. A worker is a standalone daemon
+// that additionally pulls leased cells from -peers.
 //
 // SIGINT/SIGTERM drains gracefully: new runs get 503, /readyz fails so
 // load balancers stop routing, and in-flight runs finish before exit.
@@ -66,7 +67,7 @@ func main() {
 	workerID := flag.String("worker-id", "",
 		"stable worker identity on the fabric (default: the hostname)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second,
-		"coordinator lease lifetime without a heartbeat renewal")
+		"coordinator timing base: workers heartbeat every quarter of it, and a worker silent for three quarters of it loses its leased cells")
 	flag.Parse()
 
 	cfg := service.Config{
@@ -107,7 +108,7 @@ func main() {
 	switch *role {
 	case "standalone", "worker":
 	case "coordinator":
-		coord := fabric.NewCoordinator(fabric.CoordinatorConfig{LeaseTTL: *leaseTTL})
+		coord := fabric.NewCoordinator(*leaseTTL)
 		coord.Start(ctx)
 		cfg.Coordinator = coord
 	default:

@@ -1,7 +1,7 @@
 // Package backoff is the repository's one retry-delay policy: capped
 // exponential growth with multiplicative jitter. Every layer that asks a
 // caller to come back later — the admission controller's Retry-After
-// header, the fabric coordinator re-queueing a cell whose lease expired,
+// header, the fabric coordinator re-queueing a cell whose lease was lost,
 // the worker client backing off a flaky coordinator — derives its delay
 // here, so retries de-synchronize instead of thundering back in lockstep.
 //

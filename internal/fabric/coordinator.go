@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,50 +17,27 @@ import (
 	"repro/internal/sim"
 )
 
-// now is the fabric's single sanctioned wall-clock read: lease deadlines,
-// heartbeat ages and backoff gates all flow through it, so tests freeze
-// time and drive the lease state machine deterministically.
+// now is the fabric's single sanctioned wall-clock read: heartbeat ages
+// and backoff gates flow through it, so tests freeze time and drive the
+// lease state machine deterministically.
 //
-//determinism:exempt sole injected clock seam; lease deadlines and heartbeat ages only, tests substitute it
+//determinism:exempt sole injected clock seam; heartbeat ages and backoff gates only, tests substitute it
 var now = time.Now
 
-// CoordinatorConfig shapes the lease state machine. The zero value
-// selects the documented defaults; NewCoordinator normalizes it.
-type CoordinatorConfig struct {
-	// LeaseTTL is how long a granted lease lives without a heartbeat
-	// renewal (default 10s).
-	LeaseTTL time.Duration
-	// HeartbeatEvery is the renewal cadence told to workers
-	// (default LeaseTTL/4).
-	HeartbeatEvery time.Duration
-	// SweepEvery is the expiry scan cadence of Start's background loop
-	// (default LeaseTTL/4). Tests bypass it by calling Tick directly. It
-	// is also how long LeaseWait holds an idle worker's call, capped at
-	// HeartbeatEvery.
-	SweepEvery time.Duration
-	// DeadAfter is the missed-heartbeat budget: a worker silent for
-	// DeadAfter*HeartbeatEvery is marked dead and its leases expire
-	// immediately (default 3).
-	DeadAfter int
-	// LeaseBatch caps the cells granted per lease call (default 8).
-	LeaseBatch int
-	// MaxAttempts is the lease-expiry budget per cell: beyond it the cell
-	// degrades to in-process execution instead of waiting on a fleet that
-	// keeps losing it (default 5).
-	MaxAttempts int
-	// Backoff is the re-queue schedule for cells whose lease expired
-	// (zero value = backoff.Default()).
-	Backoff backoff.Policy
-	// Seed seeds the jitter PRNG (0 = 1), keeping the retry schedule
-	// replayable.
-	Seed uint64
-}
+// The lease protocol's fixed budgets. Every timer is derived from the
+// lease TTL instead: workers heartbeat, the coordinator sweeps and a
+// held lease call waits once per quarter of it.
+const (
+	leaseBatch  = 8 // most cells one lease call grants
+	deadBeats   = 3 // missed heartbeats after which a worker is dead
+	maxAttempts = 5 // lost leases a cell is re-queued after; it runs in-process after one more
+)
 
 // RemoteCellError is the structured error of a cell a worker completed
 // unsuccessfully: the simulation's own failure (a divergence, an
 // escalated persistent fault), reported by the worker that ran it.
 // Transport failures never take this shape — a worker that cannot report
-// surfaces as a lease expiry and a retry instead.
+// surfaces as a lost lease and a retry instead.
 type RemoteCellError struct {
 	Worker string
 	Msg    string
@@ -69,13 +46,6 @@ type RemoteCellError struct {
 func (e *RemoteCellError) Error() string {
 	return fmt.Sprintf("fabric: worker %s: %s", e.Worker, e.Msg)
 }
-
-type cellState int
-
-const (
-	cellPending cellState = iota
-	cellLeased
-)
 
 // outcome settles one cell of an Execute submission; err is
 // runner.ErrRunLocal when the cell goes back to in-process execution
@@ -91,24 +61,17 @@ type cell struct {
 	k         int // index in its submission
 	job       runner.Job
 	wire      api.Cell
-	attempts  int // lease expiries suffered
-	notBefore time.Time
-	state     cellState
-	leaseID   string
+	attempts  int       // leases lost
+	notBefore time.Time // backoff gate of a re-queued cell
+	// holder is the worker holding the cell and leaseID the lease it was
+	// granted under; both are empty while the cell is pending.
+	holder, leaseID string
 	// done is the submission's settlement channel, buffered for all of
 	// its cells; each cell is settled on it exactly once.
 	done chan<- outcome
 }
 
-type lease struct {
-	id       string
-	cellID   uint64
-	worker   string
-	deadline time.Time
-}
-
 type workerState struct {
-	id       string
 	lastSeen time.Time
 	dead     bool
 }
@@ -117,37 +80,39 @@ type workerState struct {
 // the service layer on /metrics.
 type Metrics struct {
 	WorkersLive, WorkersDead   int
-	CellsPending, LeasesActive int
+	CellsPending, LeasesActive int // LeasesActive counts held cells
 
-	LeaseExpiries        uint64 // leases that timed out
-	CellsRetried         uint64 // cells re-queued after an expiry
+	LeaseExpiries        uint64 // leases lost: the holder died or asked for a new grant
+	CellsRetried         uint64 // cells re-queued after a lost lease
 	CellsCompleted       uint64 // cells settled by worker completions
 	CellsLocal           uint64 // cells handed back for in-process execution (degraded mode)
 	DeadWorkers          uint64 // dead-worker transitions
 	DuplicateCompletions uint64 // late completions for already-settled cells
 	RetryMismatches      uint64 // duplicates that were NOT bit-identical
-	LateCompletions      uint64 // completions accepted after their lease expired
+	LateCompletions      uint64 // completions accepted after their lease was lost
 	IgnoredCompletions   uint64 // completions for cells no longer tracked
 }
 
 // Coordinator shards grid cells across pull-based workers and survives
-// their crashes: every granted cell is covered by a heartbeat-renewed
-// lease, an expired lease re-queues the cell with capped jittered
-// backoff, and a fleet with no live workers degrades to in-process
-// execution. It plugs into the grid runner as its Execute seam, so the
-// planner, result cache, progress reporting and error capture above it
-// are exactly the standalone daemon's.
+// their crashes. A granted cell is held by its worker for as long as the
+// worker is live: a worker that misses its heartbeats, or that asks for a
+// new grant, loses the cells it holds, which re-queue with capped
+// jittered backoff, and a fleet with no live workers degrades to
+// in-process execution. It plugs into the grid runner as its Execute
+// seam, so the planner, result cache, progress reporting and error
+// capture above it are exactly the standalone daemon's.
 type Coordinator struct {
-	cfg CoordinatorConfig
+	// beat is a quarter of the lease TTL: the heartbeat cadence told to
+	// workers, the sweep cadence and the longest hold of a lease call.
+	beat time.Duration
 
 	mu    sync.Mutex
-	rng   *rand.Rand
+	rng   *rand.Rand       // backoff jitter
 	cells map[uint64]*cell // unsettled cells
 	// settled keeps, per settled cell, only the SHA-256 of its canonical
 	// completion: a late duplicate is asserted bit-identical against it.
 	settled  map[uint64][sha256.Size]byte
-	pending  []uint64 // cell IDs, FIFO; settled/leased entries are skipped lazily
-	leases   map[string]*lease
+	pending  []uint64 // cell IDs, FIFO; settled/held entries are skipped lazily
 	workers  map[string]*workerState
 	live     int // workers not marked dead
 	nextCell uint64
@@ -158,49 +123,28 @@ type Coordinator struct {
 	wake chan struct{}
 }
 
-// NewCoordinator builds a Coordinator, applying defaults for zero
-// config fields.
-func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 10 * time.Second
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = cfg.LeaseTTL / 4
-	}
-	if cfg.SweepEvery <= 0 {
-		cfg.SweepEvery = cfg.LeaseTTL / 4
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 3
-	}
-	if cfg.LeaseBatch <= 0 {
-		cfg.LeaseBatch = 8
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 5
-	}
-	if cfg.Backoff == (backoff.Policy{}) {
-		cfg.Backoff = backoff.Default()
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
+// NewCoordinator builds a Coordinator whose timers derive from leaseTTL
+// (10s when not positive): workers heartbeat and the coordinator sweeps
+// every quarter of it, and a worker silent for three quarters of it is
+// dead.
+func NewCoordinator(leaseTTL time.Duration) *Coordinator {
+	if leaseTTL <= 0 {
+		leaseTTL = 10 * time.Second
 	}
 	return &Coordinator{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewPCG(seed, 0xfab51c)),
+		beat:    leaseTTL / 4,
+		rng:     rand.New(rand.NewPCG(1, 0xfab51c)),
 		cells:   make(map[uint64]*cell),
 		settled: make(map[uint64][sha256.Size]byte),
-		leases:  make(map[string]*lease),
 		workers: make(map[string]*workerState),
 		wake:    make(chan struct{}),
 	}
 }
 
-// Start launches the background expiry sweeper; it stops when ctx ends.
+// Start launches the background sweeper; it stops when ctx ends.
 func (c *Coordinator) Start(ctx context.Context) {
 	go func() {
-		t := time.NewTicker(c.cfg.SweepEvery)
+		t := time.NewTicker(c.beat)
 		defer t.Stop()
 		for {
 			select {
@@ -221,17 +165,17 @@ func (c *Coordinator) Metrics() Metrics {
 	m.WorkersLive = c.live
 	m.WorkersDead = len(c.workers) - c.live
 	for _, id := range c.pending {
-		if cl, ok := c.cells[id]; ok && cl.state == cellPending {
+		if cl, ok := c.cells[id]; ok && cl.holder == "" {
 			m.CellsPending++
 		}
 	}
-	m.LeasesActive = len(c.leases)
+	m.LeasesActive = len(c.cells) - m.CellsPending
 	return m
 }
 
 // Execute is the runner's dispatch seam: it ships a run's cells to the
 // worker fleet as one submission and settles each cell as it lands —
-// surviving lease expiries, retries and worker deaths along the way. The
+// surviving lost leases, retries and worker deaths along the way. The
 // whole submission is enqueued under one lock with one wake, so a held
 // lease call sees every cell of the run and grants the worker as many of
 // them as it asks for. A cell the fleet cannot take (no live worker, a job
@@ -308,22 +252,20 @@ func (c *Coordinator) abandon(cells []*cell) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, cl := range cells {
-		if cl == nil || c.cells[cl.id] != cl {
-			continue
+		if cl != nil && c.cells[cl.id] == cl {
+			delete(c.cells, cl.id)
 		}
-		if cl.leaseID != "" {
-			delete(c.leases, cl.leaseID)
-		}
-		delete(c.cells, cl.id)
 	}
 }
 
 // Lease grants the calling worker the oldest eligible pending cells, in
-// queue order, registering (or reviving) it on the way. Any live worker
-// may take any cell: the runner answers a repeated cell from the
-// coordinator's own result cache before it is enqueued, so no worker's
-// cache is worth steering a cell toward. A cell re-queued after a lease
-// expiry rejoins the back of the queue.
+// queue order, registering (or reviving) it on the way. A worker runs one
+// grant at a time, so the cells it still holds are lost first: a grant
+// whose reply never reached it, or the grant of a predecessor that died
+// under the same ID. Any live worker may take any cell: the runner
+// answers a repeated cell from the coordinator's own result cache before
+// it is enqueued, so no worker's cache is worth steering a cell toward. A
+// lost cell rejoins the back of the queue.
 func (c *Coordinator) Lease(req api.LeaseRequest) api.LeaseResponse {
 	t := now()
 	c.mu.Lock()
@@ -331,7 +273,7 @@ func (c *Coordinator) Lease(req api.LeaseRequest) api.LeaseResponse {
 
 	w, ok := c.workers[req.Worker]
 	if !ok {
-		w = &workerState{id: req.Worker, dead: true} // revived just below
+		w = &workerState{dead: true} // revived just below
 		c.workers[req.Worker] = w
 	}
 	if w.dead {
@@ -339,19 +281,20 @@ func (c *Coordinator) Lease(req api.LeaseRequest) api.LeaseResponse {
 		c.live++
 	}
 	w.lastSeen = t
+	c.loseHeld(t, func(holder string) bool { return holder == req.Worker })
 
 	max := req.Max
-	if max <= 0 || max > c.cfg.LeaseBatch {
-		max = c.cfg.LeaseBatch
+	if max <= 0 || max > leaseBatch {
+		max = leaseBatch
 	}
 
 	// Grant the first max cells past their backoff gate and keep the
-	// rest in order, compacting the queue on the way (settled and leased
+	// rest in order, compacting the queue on the way (settled and held
 	// entries drop out here).
 	var grant, keep []uint64
 	for _, id := range c.pending {
 		cl, okc := c.cells[id]
-		if !okc || cl.state != cellPending {
+		if !okc || cl.holder != "" {
 			continue
 		}
 		if len(grant) < max && !cl.notBefore.After(t) {
@@ -362,39 +305,32 @@ func (c *Coordinator) Lease(req api.LeaseRequest) api.LeaseResponse {
 	}
 	c.pending = keep
 
-	resp := api.LeaseResponse{
-		TTLMillis:       c.cfg.LeaseTTL.Milliseconds(),
-		HeartbeatMillis: c.cfg.HeartbeatEvery.Milliseconds(),
-		PollMillis:      c.cfg.SweepEvery.Milliseconds(),
-	}
+	resp := api.LeaseResponse{HeartbeatMillis: c.beat.Milliseconds()}
 	for _, id := range grant {
 		cl := c.cells[id]
 		c.nextLse++
-		lid := fmt.Sprintf("lease-%08d", c.nextLse)
-		cl.state, cl.leaseID = cellLeased, lid
-		c.leases[lid] = &lease{id: lid, cellID: id, worker: req.Worker, deadline: t.Add(c.cfg.LeaseTTL)}
-		resp.Leases = append(resp.Leases, api.Lease{ID: lid, Cell: cl.wire})
+		cl.holder, cl.leaseID = req.Worker, fmt.Sprintf("lease-%08d", c.nextLse)
+		resp.Leases = append(resp.Leases, api.Lease{ID: cl.leaseID, Cell: cl.wire})
 	}
 	return resp
 }
 
 // LeaseWait is Lease for an idle worker's call: when nothing is
-// grantable it holds the call until a cell is enqueued, the hold elapses
-// (SweepEvery, capped at HeartbeatEvery) or ctx ends, so a fresh cell
-// reaches a worker at once instead of at its next poll. Every reply
-// carries PollMillis 0: the worker polls again at once. When the hold
-// elapses Lease runs once more, refreshing the worker's liveness, so a
-// worker parked here is never marked dead. A call that ctx releases
-// returns without a grant.
+// grantable it holds the call until a cell is enqueued, the hold (a
+// quarter of the lease TTL) elapses or ctx ends, so a fresh cell reaches
+// a worker at once instead of at its next poll, and the worker asks
+// again as soon as a reply comes back empty. When the hold elapses Lease
+// runs once more, refreshing the worker's liveness, so a worker parked
+// here is never marked dead. A call that ctx releases returns without a
+// grant.
 func (c *Coordinator) LeaseWait(ctx context.Context, req api.LeaseRequest) api.LeaseResponse {
-	hold := time.NewTimer(min(c.cfg.SweepEvery, c.cfg.HeartbeatEvery))
+	hold := time.NewTimer(c.beat)
 	defer hold.Stop()
 	for elapsed := false; ; {
 		c.mu.Lock()
 		wake := c.wake // taken before Lease, so no enqueue after it is missed
 		c.mu.Unlock()
 		resp := c.Lease(req)
-		resp.PollMillis = 0
 		if len(resp.Leases) > 0 || elapsed {
 			return resp
 		}
@@ -408,9 +344,9 @@ func (c *Coordinator) LeaseWait(ctx context.Context, req api.LeaseRequest) api.L
 	}
 }
 
-// Heartbeat renews the worker's liveness and every lease it holds.
-// Known=false tells a worker the coordinator no longer tracks it (a
-// restart or a dead-worker expiry): its leases are gone, and whatever it
+// Heartbeat refreshes the worker's liveness, which keeps the cells it
+// holds. Known=false tells a worker the coordinator no longer tracks it
+// (a restart or a dead-worker sweep): its cells are gone, and whatever it
 // still completes will be deduplicated.
 func (c *Coordinator) Heartbeat(req api.HeartbeatRequest) api.HeartbeatResponse {
 	t := now()
@@ -421,21 +357,11 @@ func (c *Coordinator) Heartbeat(req api.HeartbeatRequest) api.HeartbeatResponse 
 		return api.HeartbeatResponse{Known: false}
 	}
 	w.lastSeen = t
-	var ids []string
-	for id := range c.leases {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if l := c.leases[id]; l.worker == req.Worker {
-			l.deadline = t.Add(c.cfg.LeaseTTL)
-		}
-	}
 	return api.HeartbeatResponse{Known: true}
 }
 
 // Complete settles a batch of finished cells. A completion whose lease
-// expired is still accepted if the cell has not been settled elsewhere
+// was lost is still accepted if the cell has not been settled elsewhere
 // (a retry avoided). A settled cell leaves the coordinator, keeping only
 // the digest of its canonical completion: a later duplicate is compared
 // against it and discarded — a retried cell that differed from its first
@@ -446,13 +372,8 @@ func (c *Coordinator) Complete(req api.CompleteRequest) api.CompleteResponse {
 	defer c.mu.Unlock()
 	var resp api.CompleteResponse
 	for _, comp := range req.Cells {
-		var cl *cell
-		if l, ok := c.leases[comp.LeaseID]; ok {
-			cl = c.cells[l.cellID]
-		} else if cand, ok := c.cells[comp.CellID]; ok {
-			cl = cand
-		}
-		if cl == nil {
+		cl, ok := c.cells[comp.CellID]
+		if !ok {
 			if sum, ok := c.settled[comp.CellID]; ok {
 				c.met.DuplicateCompletions++
 				if sum != completionDigest(comp) {
@@ -464,16 +385,12 @@ func (c *Coordinator) Complete(req api.CompleteRequest) api.CompleteResponse {
 			}
 			continue
 		}
-		if cl.leaseID != "" && cl.leaseID != comp.LeaseID {
-			// The cell was re-leased after this worker's lease expired;
-			// its late completion wins the race and the re-leasing
-			// worker's copy will arrive as the duplicate.
-			delete(c.leases, cl.leaseID)
-		}
-		if _, ok := c.leases[comp.LeaseID]; !ok && comp.LeaseID != "" {
+		if cl.leaseID != comp.LeaseID {
+			// The cell was lost from this lease and is queued again or
+			// held under a newer one; this late completion wins the race
+			// and the newer holder's copy will arrive as the duplicate.
 			c.met.LateCompletions++
 		}
-		delete(c.leases, comp.LeaseID)
 		delete(c.cells, cl.id)
 		c.settled[cl.id] = completionDigest(comp)
 		out := outcome{k: cl.k}
@@ -503,81 +420,73 @@ func completionDigest(comp api.CellCompletion) [sha256.Size]byte {
 	return sha256.Sum256(b)
 }
 
-// Tick runs one expiry sweep: workers past their missed-heartbeat budget
-// are marked dead, expired leases re-queue their cells with capped
-// jittered backoff, and cells whose retry budget is gone — or that have
-// no live workers left to go to, leased or still pending — are routed
-// back to their waiting Execute for in-process execution. Start drives
-// it on a timer; tests call it directly under a frozen clock.
+// Tick runs one sweep: workers silent for deadBeats heartbeats are marked
+// dead and lose the cells they hold, and when no worker is left live the
+// queued cells are handed back to their waiting Execute for in-process
+// execution too, or it would wait on them until the run's context ends.
+// Start drives it on a timer; tests call it directly under a frozen
+// clock.
 func (c *Coordinator) Tick() {
 	t := now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	// Dead workers first, so their leases expire in the same sweep.
-	deadline := time.Duration(c.cfg.DeadAfter) * c.cfg.HeartbeatEvery
-	var wids []string
-	for id := range c.workers {
-		wids = append(wids, id)
+	var ws []*workerState
+	for _, w := range c.workers {
+		ws = append(ws, w)
 	}
-	sort.Strings(wids)
-	for _, id := range wids {
-		w := c.workers[id]
-		if !w.dead && t.Sub(w.lastSeen) > deadline {
+	for _, w := range ws {
+		if !w.dead && t.Sub(w.lastSeen) > deadBeats*c.beat {
 			w.dead = true
 			c.live--
 			c.met.DeadWorkers++
 		}
 	}
-
-	var lids []string
-	for id := range c.leases {
-		lids = append(lids, id)
+	c.loseHeld(t, func(holder string) bool { return c.workers[holder].dead })
+	if c.live > 0 {
+		return
 	}
-	sort.Strings(lids)
-	live := c.live
-	for _, lid := range lids {
-		l := c.leases[lid]
-		if !l.deadline.Before(t) && c.workers[l.worker] != nil && !c.workers[l.worker].dead {
-			continue
+	for _, id := range c.pending {
+		if cl, ok := c.cells[id]; ok && cl.holder == "" {
+			c.runLocal(cl)
 		}
-		delete(c.leases, lid)
-		cl, ok := c.cells[l.cellID]
-		if !ok || cl.state != cellLeased {
+	}
+	c.pending = nil
+}
+
+// loseHeld takes back every cell whose holder lost it, in cell-ID order
+// so the backoff jitter they draw replays: each is re-queued behind its
+// backoff gate, or handed back for in-process execution once its retry
+// budget is spent or no worker is live.
+func (c *Coordinator) loseHeld(t time.Time, lost func(holder string) bool) {
+	var ids []uint64
+	for id := range c.cells {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		cl := c.cells[id]
+		if cl.holder == "" || !lost(cl.holder) {
 			continue
 		}
 		c.met.LeaseExpiries++
 		cl.attempts++
-		cl.leaseID = ""
-		if cl.attempts > c.cfg.MaxAttempts || live == 0 {
-			// Degrade: hand the cell back to its Execute for in-process
-			// execution instead of queueing on a fleet that keeps losing
-			// it.
-			delete(c.cells, cl.id)
-			c.met.CellsLocal++
-			cl.done <- outcome{k: cl.k, err: runner.ErrRunLocal}
+		cl.holder, cl.leaseID = "", ""
+		if cl.attempts > maxAttempts || c.live == 0 {
+			c.runLocal(cl)
 			continue
 		}
-		cl.state = cellPending
-		cl.notBefore = t.Add(c.cfg.Backoff.Delay(cl.attempts-1, c.rng))
+		cl.notBefore = t.Add(backoff.Default().Delay(cl.attempts-1, c.rng))
 		c.pending = append(c.pending, cl.id)
 		c.met.CellsRetried++
 	}
-	if live > 0 {
-		return
-	}
-	// No worker is left to lease the queue: hand every pending cell back
-	// too, or its Execute would wait on it until the run's context ends.
-	for _, id := range c.pending {
-		cl, ok := c.cells[id]
-		if !ok || cl.state != cellPending {
-			continue
-		}
-		delete(c.cells, cl.id)
-		c.met.CellsLocal++
-		cl.done <- outcome{k: cl.k, err: runner.ErrRunLocal}
-	}
-	c.pending = nil
+}
+
+// runLocal hands a cell back to its Execute for in-process execution.
+func (c *Coordinator) runLocal(cl *cell) {
+	delete(c.cells, cl.id)
+	c.met.CellsLocal++
+	cl.done <- outcome{k: cl.k, err: runner.ErrRunLocal}
 }
 
 // cellFromJob projects a runner.Job onto the wire, or reports that the

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/program"
@@ -58,15 +57,14 @@ func testJob(t *testing.T, name string, insns uint64) runner.Job {
 		Opts: sim.Options{Insns: insns}}
 }
 
-// testConfig is a fast deterministic coordinator config: no jitter, tiny
-// backoff. An unexpected degrade is visible as runner.ErrRunLocal.
-func testConfig(t *testing.T) CoordinatorConfig {
-	t.Helper()
-	return CoordinatorConfig{
-		LeaseTTL: 10 * time.Second,
-		Backoff:  backoff.Policy{Base: time.Second, Cap: 8 * time.Second, Factor: 2},
-	}
-}
+// testTTL is the coordinator lease TTL of the frozen-clock tests: workers
+// heartbeat every 2.5 s, and one silent for more than 7.5 s is dead at
+// the next sweep.
+const testTTL = 10 * time.Second
+
+// pastGate is a clock advance past any re-queued cell's backoff gate:
+// the fifth retry waits at most 1.6 s plus a quarter of jitter.
+const pastGate = 2 * time.Second
 
 // executeOne submits a one-cell run to Execute and returns the cell's
 // settlement.
@@ -86,23 +84,22 @@ func startExecute(c *Coordinator, j runner.Job) <-chan runner.Outcome {
 	return ch
 }
 
-// leaseAll polls Lease until the worker holds n cells (Execute enqueues
-// asynchronously, so the first poll may race the enqueue).
+// leaseAll polls Lease until one call grants the worker n cells (Execute
+// enqueues asynchronously, so the first poll may race the enqueue). Each
+// call loses the worker's previous grant, so the cells must come in one.
 func leaseAll(t *testing.T, c *Coordinator, worker string, n int) []api.Lease {
 	t.Helper()
-	var got []api.Lease
 	deadline := time.Now().Add(5 * time.Second)
-	for len(got) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("worker %s leased %d cells, want %d", worker, len(got), n)
+	for {
+		resp := c.Lease(api.LeaseRequest{Worker: worker, Max: n})
+		if len(resp.Leases) == n {
+			return resp.Leases
 		}
-		resp := c.Lease(api.LeaseRequest{Worker: worker, Max: n - len(got)})
-		got = append(got, resp.Leases...)
-		if len(resp.Leases) == 0 {
-			time.Sleep(time.Millisecond)
+		if len(resp.Leases) != 0 || time.Now().After(deadline) {
+			t.Fatalf("worker %s was granted %d cells, want %d", worker, len(resp.Leases), n)
 		}
+		time.Sleep(time.Millisecond)
 	}
-	return got
 }
 
 // TestExecuteCompletesThroughWorker is the happy path: a cell flows
@@ -110,7 +107,7 @@ func leaseAll(t *testing.T, c *Coordinator, worker string, n int) []api.Lease {
 // name rewritten the way the in-process cache path does.
 func TestExecuteCompletesThroughWorker(t *testing.T) {
 	freezeClock(t)
-	c := NewCoordinator(testConfig(t))
+	c := NewCoordinator(testTTL)
 	c.Lease(api.LeaseRequest{Worker: "w1"}) // register
 
 	done := startExecute(c, testJob(t, "SIE", 5000))
@@ -147,7 +144,7 @@ func TestExecuteCompletesThroughWorker(t *testing.T) {
 // TestExecuteLocalWhenNoWorkers hands the cell back for in-process
 // execution when the fleet is empty.
 func TestExecuteLocalWhenNoWorkers(t *testing.T) {
-	c := NewCoordinator(testConfig(t))
+	c := NewCoordinator(testTTL)
 	if _, err := executeOne(context.Background(), c, testJob(t, "SIE", 1000)); !errors.Is(err, runner.ErrRunLocal) {
 		t.Fatalf("Execute with no workers returned %v, want runner.ErrRunLocal", err)
 	}
@@ -159,7 +156,7 @@ func TestExecuteLocalWhenNoWorkers(t *testing.T) {
 // TestLocalFallbackHonoursCellTimeout: a cell the fleet hands back runs
 // in-process under the runner's per-cell deadline, like any other cell.
 func TestLocalFallbackHonoursCellTimeout(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{})
+	c := NewCoordinator(0)
 	outs, _ := runner.Run(context.Background(), []runner.Job{testJob(t, "SIE", 2_000_000)}, runner.Options{
 		Parallelism: 1,
 		CellTimeout: 5 * time.Millisecond,
@@ -177,7 +174,7 @@ func TestLocalFallbackHonoursCellTimeout(t *testing.T) {
 // TestExecuteLocalForUnshippableJob: a job pinned to an in-memory program
 // cannot cross the wire and must run in-process even with workers live.
 func TestExecuteLocalForUnshippableJob(t *testing.T) {
-	c := NewCoordinator(testConfig(t))
+	c := NewCoordinator(testTTL)
 	c.Lease(api.LeaseRequest{Worker: "w1"})
 	j := testJob(t, "SIE", 1000)
 	j.Opts.Program = &program.Program{} // pinned programs cannot cross the wire
@@ -196,17 +193,16 @@ func TestExecuteLocalForUnshippableJob(t *testing.T) {
 // are both visible in the metrics.
 func TestLeaseExpiryRetriesOnSurvivor(t *testing.T) {
 	fc := freezeClock(t)
-	cfg := testConfig(t)
-	c := NewCoordinator(cfg)
+	c := NewCoordinator(testTTL)
 	c.Lease(api.LeaseRequest{Worker: "w1"})
 	c.Lease(api.LeaseRequest{Worker: "w2"})
 
 	done := startExecute(c, testJob(t, "SIE", 5000))
 	leases := leaseAll(t, c, "w1", 1)
 
-	// w2 heartbeats through w1's silence; the sweep kills w1 and expires
-	// its lease (dead worker ⇒ immediate expiry, before the TTL).
-	fc.advance(8 * time.Second) // past DeadAfter(3) × HeartbeatEvery(2.5s)
+	// w2 heartbeats through w1's silence; the sweep kills w1 and takes
+	// back the cell it held.
+	fc.advance(8 * time.Second) // past 3 missed 2.5 s heartbeats
 	c.Heartbeat(api.HeartbeatRequest{Worker: "w2"})
 	c.Tick()
 	m := c.Metrics()
@@ -218,7 +214,7 @@ func TestLeaseExpiryRetriesOnSurvivor(t *testing.T) {
 	if resp := c.Lease(api.LeaseRequest{Worker: "w2"}); len(resp.Leases) != 0 {
 		t.Fatalf("cell leased before its backoff gate: %+v", resp.Leases)
 	}
-	fc.advance(2 * time.Second) // Base 1s, no jitter ⇒ gate passed
+	fc.advance(pastGate)
 	release := leaseAll(t, c, "w2", 1)
 	if release[0].Cell.ID != leases[0].Cell.ID {
 		t.Fatalf("retry leased cell %d, want %d", release[0].Cell.ID, leases[0].Cell.ID)
@@ -240,13 +236,106 @@ func TestLeaseExpiryRetriesOnSurvivor(t *testing.T) {
 	}
 }
 
+// TestLostGrantRequeuedAtNextLease: a grant whose reply never reached its
+// worker is lost at the worker's next lease call, even while the worker
+// keeps heartbeating for that later grant: the cell is re-queued, its
+// attempt is counted, and another worker runs it.
+func TestLostGrantRequeuedAtNextLease(t *testing.T) {
+	fc := freezeClock(t)
+	c := NewCoordinator(testTTL)
+	c.Lease(api.LeaseRequest{Worker: "w1"})
+	doneA := startExecute(c, testJob(t, "cell-a", 5000))
+	lost := leaseAll(t, c, "w1", 1)[0] // the reply never reaches w1
+
+	doneB := startExecute(c, testJob(t, "cell-b", 6000))
+	b := leaseAll(t, c, "w1", 1)[0]
+	if b.Cell.Name != "cell-b" {
+		t.Fatalf("w1's next lease call was granted %s, want cell-b", b.Cell.Name)
+	}
+	c.mu.Lock()
+	attempts := c.cells[lost.Cell.ID].attempts
+	c.mu.Unlock()
+	m := c.Metrics()
+	if attempts != 1 || m.LeaseExpiries != 1 || m.CellsRetried != 1 || m.CellsPending != 1 || m.LeasesActive != 1 {
+		t.Fatalf("after w1's next lease call: the lost cell has %d attempts, metrics %+v; want 1 attempt, 1 expiry, 1 retry, 1 pending, 1 held",
+			attempts, m)
+	}
+
+	// w1 heartbeats through a minute of running cell-b; the lost cell
+	// stays queued for someone else.
+	for i := 0; i < 24; i++ {
+		fc.advance(2500 * time.Millisecond)
+		c.Heartbeat(api.HeartbeatRequest{Worker: "w1"})
+		c.Tick()
+	}
+	again := leaseAll(t, c, "w2", 1)[0]
+	if again.Cell.ID != lost.Cell.ID || again.ID == lost.ID {
+		t.Fatalf("w2 was granted cell %d under %s, want the lost cell %d under a new lease",
+			again.Cell.ID, again.ID, lost.Cell.ID)
+	}
+	for _, l := range []struct {
+		worker string
+		lease  api.Lease
+	}{{"w2", again}, {"w1", b}} {
+		c.Complete(api.CompleteRequest{Worker: l.worker, Cells: []api.CellCompletion{
+			{LeaseID: l.lease.ID, CellID: l.lease.Cell.ID, Result: &sim.Result{}},
+		}})
+	}
+	for _, done := range []<-chan runner.Outcome{doneA, doneB} {
+		if out := <-done; out.Err != nil {
+			t.Fatalf("cell settled with %v", out.Err)
+		}
+	}
+	if m := c.Metrics(); m.LeaseExpiries != 1 || m.DeadWorkers != 0 || m.LateCompletions != 0 {
+		t.Errorf("final metrics %+v, want 1 expiry, no dead worker, no late completion", m)
+	}
+}
+
+// TestRestartedWorkerTakesBackCells: a worker restarted under its old ID
+// loses its predecessor's cells at its first lease call, long before the
+// predecessor would be declared dead, and leases them again once their
+// backoff gate passes.
+func TestRestartedWorkerTakesBackCells(t *testing.T) {
+	fc := freezeClock(t)
+	c := NewCoordinator(testTTL)
+	c.Lease(api.LeaseRequest{Worker: "w1"})
+	jobs := []runner.Job{testJob(t, "SIE", 1000), testJob(t, "SIE", 2000)}
+	settled := make(chan error, len(jobs))
+	go c.Execute(context.Background(), jobs, func(_ int, _ sim.Result, err error) { settled <- err })
+	held := leaseAll(t, c, "w1", 2) // the predecessor dies holding both
+
+	fc.advance(time.Second)
+	if resp := c.Lease(api.LeaseRequest{Worker: "w1"}); len(resp.Leases) != 0 {
+		t.Fatalf("the restarted worker's first call was granted %+v before the backoff gate", resp.Leases)
+	}
+	if m := c.Metrics(); m.LeaseExpiries != 2 || m.CellsRetried != 2 || m.LeasesActive != 0 || m.DeadWorkers != 0 {
+		t.Fatalf("after the restarted worker's first call: metrics %+v, want 2 expiries, 2 retries, no held cell, no dead worker", m)
+	}
+
+	fc.advance(pastGate)
+	again := leaseAll(t, c, "w1", 2)
+	var comps []api.CellCompletion
+	for i, l := range again {
+		if l.Cell.ID != held[i].Cell.ID || l.ID == held[i].ID {
+			t.Errorf("re-lease %d: cell %d under %s, want cell %d under a new lease", i, l.Cell.ID, l.ID, held[i].Cell.ID)
+		}
+		comps = append(comps, api.CellCompletion{LeaseID: l.ID, CellID: l.Cell.ID, Result: &sim.Result{}})
+	}
+	c.Complete(api.CompleteRequest{Worker: "w1", Cells: comps})
+	for range jobs {
+		if err := <-settled; err != nil {
+			t.Fatalf("cell settled with %v", err)
+		}
+	}
+}
+
 // TestDuplicateCompletionBitIdentity: a late duplicate completion for a
 // settled cell is discarded, and the fabric asserts it bit-identical to
 // the accepted result — a mismatch is the determinism bug the paper's
 // whole discipline exists to catch, and it is counted.
 func TestDuplicateCompletionBitIdentity(t *testing.T) {
 	freezeClock(t)
-	c := NewCoordinator(testConfig(t))
+	c := NewCoordinator(testTTL)
 	c.Lease(api.LeaseRequest{Worker: "w1"})
 	done := startExecute(c, testJob(t, "SIE", 5000))
 	leases := leaseAll(t, c, "w1", 1)
@@ -285,37 +374,40 @@ func TestDuplicateCompletionBitIdentity(t *testing.T) {
 }
 
 // TestRetryBudgetDegradesToLocal: a cell that keeps losing its lease is
-// handed back for in-process execution once MaxAttempts is spent, instead
-// of queueing forever on a fleet that keeps eating it.
+// re-queued after each of its first maxAttempts losses and handed back for
+// in-process execution after the next one, instead of queueing forever on
+// a fleet that keeps eating it.
 func TestRetryBudgetDegradesToLocal(t *testing.T) {
 	fc := freezeClock(t)
-	cfg := testConfig(t)
-	cfg.MaxAttempts = 1
-	c := NewCoordinator(cfg)
+	c := NewCoordinator(testTTL)
 	// Register both while the queue is empty; from here on "keeper" only
 	// heartbeats, so retries queue remotely (live > 0) but land on w1.
 	c.Lease(api.LeaseRequest{Worker: "w1"})
 	c.Lease(api.LeaseRequest{Worker: "keeper"})
 	done := startExecute(c, testJob(t, "SIE", 5000))
 
-	leaseAll(t, c, "w1", 1) // attempt 1: w1 takes the cell and goes silent
-	fc.advance(8 * time.Second)
-	c.Heartbeat(api.HeartbeatRequest{Worker: "keeper"})
-	c.Tick() // w1 dead, cell retried (attempts=1 ≤ MaxAttempts)
-
-	fc.advance(2 * time.Second) // past the 1s backoff gate
-	c.Heartbeat(api.HeartbeatRequest{Worker: "keeper"})
-	leaseAll(t, c, "w1", 1) // attempt 2: w1 revives, takes it again, goes silent
-	fc.advance(8 * time.Second)
-	c.Heartbeat(api.HeartbeatRequest{Worker: "keeper"})
-	c.Tick() // attempts=2 > MaxAttempts ⇒ degrade
+	for attempt := 1; attempt <= maxAttempts+1; attempt++ {
+		if attempt > 1 {
+			fc.advance(pastGate)
+			c.Heartbeat(api.HeartbeatRequest{Worker: "keeper"})
+		}
+		leaseAll(t, c, "w1", 1) // w1 (revived) takes the cell and goes silent
+		fc.advance(8 * time.Second)
+		c.Heartbeat(api.HeartbeatRequest{Worker: "keeper"})
+		c.Tick() // w1 dead: the cell is re-queued, or degrades once the budget is spent
+		if attempt <= maxAttempts {
+			if m := c.Metrics(); m.CellsRetried != uint64(attempt) || m.CellsLocal != 0 {
+				t.Fatalf("after loss %d: metrics %+v, want %d retries and no local cell", attempt, m, attempt)
+			}
+		}
+	}
 
 	if out := <-done; !errors.Is(out.Err, runner.ErrRunLocal) {
 		t.Fatalf("exhausted cell returned %v, want runner.ErrRunLocal", out.Err)
 	}
 	m := c.Metrics()
-	if m.LeaseExpiries != 2 || m.CellsRetried != 1 || m.CellsLocal != 1 {
-		t.Errorf("metrics %+v, want 2 expiries / 1 retry / 1 local", m)
+	if m.LeaseExpiries != maxAttempts+1 || m.CellsRetried != maxAttempts || m.CellsLocal != 1 {
+		t.Errorf("metrics %+v, want %d expiries / %d retries / 1 local", m, maxAttempts+1, maxAttempts)
 	}
 }
 
@@ -324,7 +416,7 @@ func TestRetryBudgetDegradesToLocal(t *testing.T) {
 // back for in-process execution.
 func TestFleetDeathDegradesToLocal(t *testing.T) {
 	fc := freezeClock(t)
-	c := NewCoordinator(testConfig(t))
+	c := NewCoordinator(testTTL)
 	c.Lease(api.LeaseRequest{Worker: "w1"})
 	done := startExecute(c, testJob(t, "SIE", 5000))
 	leaseAll(t, c, "w1", 1)
@@ -341,7 +433,7 @@ func TestFleetDeathDegradesToLocal(t *testing.T) {
 // one it held, so the run does not wait on a queue nobody serves.
 func TestFleetDeathHandsBackPendingCells(t *testing.T) {
 	fc := freezeClock(t)
-	c := NewCoordinator(testConfig(t))
+	c := NewCoordinator(testTTL)
 	c.Lease(api.LeaseRequest{Worker: "w1"})
 	jobs := []runner.Job{testJob(t, "SIE", 1000), testJob(t, "SIE", 2000), testJob(t, "SIE", 3000)}
 	errs := make(chan error, len(jobs))
@@ -370,7 +462,7 @@ func TestFleetDeathHandsBackPendingCells(t *testing.T) {
 // completion for one is counted as ignored, not crashed on.
 func TestExecuteCancellation(t *testing.T) {
 	freezeClock(t)
-	c := NewCoordinator(testConfig(t))
+	c := NewCoordinator(testTTL)
 	c.Lease(api.LeaseRequest{Worker: "w1"})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -399,7 +491,7 @@ func TestExecuteCancellation(t *testing.T) {
 // coordinator takes a cell as soon as it is enqueued, not at the end of
 // the hold (2.5 s at the 10 s TTL).
 func TestLeaseWaitGrantsEnqueuedCell(t *testing.T) {
-	c := NewCoordinator(testConfig(t))
+	c := NewCoordinator(testTTL)
 	got := make(chan api.LeaseResponse, 1)
 	go func() { got <- c.LeaseWait(context.Background(), api.LeaseRequest{Worker: "w1"}) }()
 	// The call registers the worker before it parks; an enqueue from then
@@ -417,8 +509,8 @@ func TestLeaseWaitGrantsEnqueuedCell(t *testing.T) {
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Errorf("cell granted %v after its enqueue, want within 100ms", d)
 	}
-	if len(resp.Leases) != 1 || resp.PollMillis != 0 {
-		t.Fatalf("held reply %+v, want one lease and PollMillis 0", resp)
+	if len(resp.Leases) != 1 {
+		t.Fatalf("held reply %+v, want one lease", resp)
 	}
 	l := resp.Leases[0]
 	c.Complete(api.CompleteRequest{Worker: "w1", Cells: []api.CellCompletion{
@@ -430,42 +522,25 @@ func TestLeaseWaitGrantsEnqueuedCell(t *testing.T) {
 }
 
 // TestLeaseWaitHoldElapses: with nothing to grant, a held call returns
-// empty with PollMillis 0 once the hold — SweepEvery, capped at
-// HeartbeatEvery — elapses, while a direct Lease still names the poll
-// interval.
+// empty once the hold — a quarter of the lease TTL, the heartbeat cadence
+// the reply names — elapses.
 func TestLeaseWaitHoldElapses(t *testing.T) {
-	for _, tc := range []struct {
-		name             string
-		sweep, heartbeat time.Duration
-		hold             time.Duration
-		pollMillis       int64
-	}{
-		{"sweep", 50 * time.Millisecond, 0, 50 * time.Millisecond, 50},
-		{"capped at heartbeat", 5 * time.Second, 50 * time.Millisecond, 50 * time.Millisecond, 5000},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig(t)
-			cfg.SweepEvery, cfg.HeartbeatEvery = tc.sweep, tc.heartbeat
-			c := NewCoordinator(cfg)
-			start := time.Now()
-			resp := c.LeaseWait(context.Background(), api.LeaseRequest{Worker: "w1"})
-			if d := time.Since(start); d < tc.hold || d > tc.hold+time.Second {
-				t.Errorf("held call returned after %v, want after the %v hold", d, tc.hold)
-			}
-			if len(resp.Leases) != 0 || resp.PollMillis != 0 || resp.TTLMillis != 10000 {
-				t.Errorf("held reply %+v, want empty, PollMillis 0, TTL 10000", resp)
-			}
-			if r := c.Lease(api.LeaseRequest{Worker: "w1"}); r.PollMillis != tc.pollMillis {
-				t.Errorf("direct Lease PollMillis %d, want %d", r.PollMillis, tc.pollMillis)
-			}
-		})
+	const hold = 50 * time.Millisecond
+	c := NewCoordinator(4 * hold)
+	start := time.Now()
+	resp := c.LeaseWait(context.Background(), api.LeaseRequest{Worker: "w1"})
+	if d := time.Since(start); d < hold || d > hold+time.Second {
+		t.Errorf("held call returned after %v, want after the %v hold", d, hold)
+	}
+	if len(resp.Leases) != 0 || resp.HeartbeatMillis != hold.Milliseconds() {
+		t.Errorf("held reply %+v, want empty with a %v heartbeat", resp, hold)
 	}
 }
 
 // TestLeaseWaitEndsWithContext: a held call returns as soon as its
 // context ends, granting nothing.
 func TestLeaseWaitEndsWithContext(t *testing.T) {
-	c := NewCoordinator(testConfig(t))
+	c := NewCoordinator(testTTL)
 	ctx, cancel := context.WithCancel(context.Background())
 	got := make(chan api.LeaseResponse, 1)
 	go func() { got <- c.LeaseWait(ctx, api.LeaseRequest{Worker: "w1"}) }()
@@ -490,7 +565,7 @@ func TestLeaseWaitEndsWithContext(t *testing.T) {
 // failure surfaces to Execute as a structured *RemoteCellError.
 func TestWorkerErrorBecomesRemoteCellError(t *testing.T) {
 	freezeClock(t)
-	c := NewCoordinator(testConfig(t))
+	c := NewCoordinator(testTTL)
 	c.Lease(api.LeaseRequest{Worker: "w1"})
 	done := startExecute(c, testJob(t, "SIE", 5000))
 	leases := leaseAll(t, c, "w1", 1)
@@ -548,7 +623,7 @@ func TestCellRoundTripPreservesFingerprint(t *testing.T) {
 // pending cells, so the second caller gets the next two.
 func TestLeaseGrantsInQueueOrder(t *testing.T) {
 	freezeClock(t)
-	c := NewCoordinator(testConfig(t))
+	c := NewCoordinator(testTTL)
 	c.Lease(api.LeaseRequest{Worker: "w1"})
 	c.Lease(api.LeaseRequest{Worker: "w2"})
 	var jobs []runner.Job
@@ -588,7 +663,7 @@ func TestSubmissionReachesHeldWorkersWhole(t *testing.T) {
 		{"two workers", 4, []int{2, 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCoordinator(testConfig(t))
+			c := NewCoordinator(testTTL)
 			got := make([]chan api.LeaseResponse, len(tc.max))
 			for w, max := range tc.max {
 				got[w] = make(chan api.LeaseResponse, 1)

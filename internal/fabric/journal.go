@@ -4,11 +4,11 @@
 // in-process execution when no workers are live, and journals run state
 // to a crash-safe write-ahead log so its own restarts resume instead of
 // forgetting. It applies the paper's check-&-recover discipline to the
-// harness itself: detect the fault (a missed heartbeat, an expired
-// lease, a torn journal tail), rewind to known-good state (re-queue the
-// cell, truncate the tail), re-execute, and verify the retry is
-// bit-identical to the first try — nothing is ever silently lost or
-// silently different.
+// harness itself: detect the fault (missed heartbeats, a worker asking
+// again while it holds cells, a torn journal tail), rewind to known-good
+// state (re-queue the cell, truncate the tail), re-execute, and verify
+// the retry is bit-identical to the first try — nothing is ever silently
+// lost or silently different.
 package fabric
 
 import (

@@ -104,7 +104,7 @@ func (cl *Client) Lease(ctx context.Context, req api.LeaseRequest) (api.LeaseRes
 	return resp, err
 }
 
-// Heartbeat renews every lease the worker holds.
+// Heartbeat refreshes the worker's liveness, which keeps its cells.
 func (cl *Client) Heartbeat(ctx context.Context, req api.HeartbeatRequest) (api.HeartbeatResponse, error) {
 	var resp api.HeartbeatResponse
 	err := cl.post(ctx, "/v1/heartbeat", req, &resp)
@@ -121,12 +121,12 @@ func (cl *Client) Complete(ctx context.Context, req api.CompleteRequest) (api.Co
 // Worker is the pull loop a worker daemon runs against a coordinator:
 // lease a batch of cells, heartbeat while executing them, report the
 // completions, repeat. An idle worker's lease call is held at the
-// coordinator until there is work, so it re-polls as soon as a held call
-// returns empty. Transient coordinator failures back off with the
+// coordinator until there is work, so it asks again as soon as a reply
+// comes back empty. Transient coordinator failures back off with the
 // shared jittered schedule (honoring an explicit Retry-After when the
-// server sends one); a worker that cannot report a completion just stops
-// heartbeating it, and the coordinator's lease expiry re-queues the work
-// elsewhere — losing a worker never loses a cell.
+// server sends one); a worker that cannot report a completion just asks
+// for its next grant, which re-queues the unreported cells — losing a
+// worker never loses a cell.
 type Worker struct {
 	// Client reaches the coordinator.
 	Client *Client
@@ -140,10 +140,6 @@ type Worker struct {
 	// MaxCells caps the cells requested per lease (0 = the coordinator's
 	// default batch).
 	MaxCells int
-	// Backoff is the client-side retry schedule (zero = backoff.Default()).
-	Backoff backoff.Policy
-	// Seed seeds the jitter PRNG (0 = 1).
-	Seed uint64
 	// OnError, when non-nil, observes transient loop errors (logging
 	// seam; the loop always keeps going).
 	OnError func(error)
@@ -160,17 +156,13 @@ func (w *Worker) Grants() (grants, cells uint64) {
 }
 
 // completeAttempts bounds the delivery retries for one completion batch
-// before the worker abandons it to the lease-expiry path.
+// before the worker abandons it to the lost-lease path.
 const completeAttempts = 5
 
 // Run pulls and executes work until ctx ends; it always returns ctx's
 // error.
 func (w *Worker) Run(ctx context.Context) error {
-	rng := rand.New(rand.NewPCG(max(w.Seed, 1), 0x77ecc0))
-	pol := w.Backoff
-	if pol == (backoff.Policy{}) {
-		pol = backoff.Default()
-	}
+	rng := rand.New(rand.NewPCG(1, 0x77ecc0))
 	failures := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -183,38 +175,33 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			w.observe(err)
 			failures++
-			if !sleepCtx(ctx, retryDelay(err, pol, failures-1, rng)) {
+			if !sleepCtx(ctx, retryDelay(err, failures-1, rng)) {
 				return ctx.Err()
 			}
 			continue
 		}
 		failures = 0
 		if len(resp.Leases) == 0 {
-			// A held reply (PollMillis 0) has already waited at the
-			// coordinator, so the next poll goes out at once.
-			if !sleepCtx(ctx, time.Duration(resp.PollMillis)*time.Millisecond) {
-				return ctx.Err()
-			}
-			continue
+			continue // the empty reply was held at the coordinator
 		}
 		w.grants.Add(1)
 		w.granted.Add(uint64(len(resp.Leases)))
-		w.process(ctx, resp, pol, rng)
+		w.process(ctx, resp, rng)
 	}
 }
 
 // retryDelay picks the wait after a failed coordinator call: the
 // server's explicit Retry-After when it sent one, the shared backoff
 // schedule otherwise.
-func retryDelay(err error, pol backoff.Policy, attempt int, rng *rand.Rand) time.Duration {
+func retryDelay(err error, attempt int, rng *rand.Rand) time.Duration {
 	if ra, ok := err.(*RetryAfterError); ok {
 		return ra.Delay
 	}
-	return pol.Delay(attempt, rng)
+	return backoff.Default().Delay(attempt, rng)
 }
 
 // process executes one leased batch under a heartbeat and reports it.
-func (w *Worker) process(ctx context.Context, leased api.LeaseResponse, pol backoff.Policy, rng *rand.Rand) {
+func (w *Worker) process(ctx context.Context, leased api.LeaseResponse, rng *rand.Rand) {
 	jobs := make([]runner.Job, 0, len(leased.Leases))
 	idx := make([]int, 0, len(leased.Leases)) // lease index per job
 	comps := make([]api.CellCompletion, len(leased.Leases))
@@ -229,9 +216,10 @@ func (w *Worker) process(ctx context.Context, leased api.LeaseResponse, pol back
 		idx = append(idx, i)
 	}
 
-	// Heartbeat for as long as the batch executes, so the leases outlive
-	// a batch slower than the TTL. A heartbeat failure is not fatal —
-	// the next one may get through before the lease expires.
+	// Heartbeat for as long as the batch executes, so the worker stays
+	// live through a batch slower than the TTL. A heartbeat failure is
+	// not fatal — the next one may get through before the worker is
+	// declared dead.
 	hbCtx, stopHB := context.WithCancel(ctx)
 	hbDone := make(chan struct{})
 	go func() {
@@ -274,7 +262,9 @@ func (w *Worker) process(ctx context.Context, leased api.LeaseResponse, pol back
 	stopHB()
 	<-hbDone
 	if ctx.Err() != nil {
-		return // dying mid-batch: the lease expiry re-queues the cells
+		// Dying mid-batch: the dead-worker sweep, or a restarted
+		// worker's first lease call, re-queues the cells.
+		return
 	}
 
 	req := api.CompleteRequest{Worker: w.ID, Cells: comps}
@@ -283,13 +273,13 @@ func (w *Worker) process(ctx context.Context, leased api.LeaseResponse, pol back
 			return
 		} else {
 			w.observe(err)
-			if !sleepCtx(ctx, retryDelay(err, pol, attempt, rng)) {
+			if !sleepCtx(ctx, retryDelay(err, attempt, rng)) {
 				return
 			}
 		}
 	}
-	// Delivery failed repeatedly: stop trying. The cells' leases expire
-	// and the coordinator re-runs them — slower, never lost.
+	// Delivery failed repeatedly: stop trying. The next lease call loses
+	// the cells and the coordinator re-runs them — slower, never lost.
 }
 
 func (w *Worker) observe(err error) {

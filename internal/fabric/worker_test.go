@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -11,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/internal/chaostest"
 	"repro/internal/runner"
 	"repro/internal/service/api"
@@ -105,14 +105,7 @@ func TestWorkerFleetChaosE2E(t *testing.T) {
 		}
 	}
 
-	c := NewCoordinator(CoordinatorConfig{
-		LeaseTTL:       400 * time.Millisecond,
-		HeartbeatEvery: 100 * time.Millisecond,
-		SweepEvery:     25 * time.Millisecond,
-		LeaseBatch:     2,
-		Backoff:        backoff.Policy{Base: 20 * time.Millisecond, Cap: 100 * time.Millisecond, Factor: 2, Jitter: 0.5},
-		Seed:           1,
-	})
+	c := NewCoordinator(400 * time.Millisecond) // a worker silent for 300 ms is dead
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c.Start(ctx)
@@ -157,11 +150,9 @@ func TestWorkerFleetChaosE2E(t *testing.T) {
 	chaos.CutBodyProb = 0.1
 	chaos.MaxLatency = 5 * time.Millisecond
 	survivor := &Worker{
-		Client:  &Client{BaseURL: srv.URL, HTTPClient: &http.Client{Transport: chaos}},
-		ID:      "survivor",
-		Exec:    simExec,
-		Backoff: backoff.Policy{Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond, Factor: 2, Jitter: 0.5},
-		Seed:    11,
+		Client: &Client{BaseURL: srv.URL, HTTPClient: &http.Client{Transport: chaos}},
+		ID:     "survivor",
+		Exec:   simExec,
 	}
 	go survivor.Run(ctx)
 
@@ -215,7 +206,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	if ra.Delay != 3*time.Second {
 		t.Errorf("Retry-After parsed as %v, want 3s", ra.Delay)
 	}
-	if d := retryDelay(err, backoff.Default(), 0, nil); d != 3*time.Second {
+	if d := retryDelay(err, 0, nil); d != 3*time.Second {
 		t.Errorf("retryDelay ignored the server's Retry-After: %v", d)
 	}
 }
@@ -234,72 +225,30 @@ func TestClientStatusError(t *testing.T) {
 	}
 }
 
-// TestWorkerPollCadence: after an empty held reply (PollMillis 0) the
-// worker polls again at once; after an empty reply naming a wait, it
-// waits that long first.
-func TestWorkerPollCadence(t *testing.T) {
-	var (
-		mu    sync.Mutex
-		calls []time.Time
-	)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		calls = append(calls, time.Now())
-		n := len(calls)
-		mu.Unlock()
-		poll := int64(60_000) // from the third reply on, a wait that outlasts the test
-		switch n {
-		case 1:
-			poll = 0 // held
-		case 2:
-			poll = 300
-		}
-		json.NewEncoder(w).Encode(api.LeaseResponse{PollMillis: poll})
-	}))
-	defer srv.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	w := &Worker{Client: &Client{BaseURL: srv.URL}, ID: "w1"}
-	go func() { done <- w.Run(ctx) }()
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(calls) >= 3
-	})
-	cancel()
-	<-done
-
-	mu.Lock()
-	defer mu.Unlock()
-	if gap := calls[1].Sub(calls[0]); gap > 100*time.Millisecond {
-		t.Errorf("worker waited %v after a held reply, want an immediate re-poll", gap)
-	}
-	if gap := calls[2].Sub(calls[1]); gap < 300*time.Millisecond {
-		t.Errorf("worker re-polled %v after a 300 ms PollMillis reply", gap)
-	}
-}
-
 // TestWorkerCountsLeaseGrants: a worker counts each non-empty lease reply
 // as one grant and every cell it carried, including a cell it cannot
-// rebuild; empty replies count nothing.
+// rebuild; empty replies count nothing, and one is followed by the next
+// call at once.
 func TestWorkerCountsLeaseGrants(t *testing.T) {
 	var (
 		mu       sync.Mutex
-		polls    int
+		polls    []time.Time
 		reported []api.CellCompletion
 	)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		polls++
-		n := polls
+		polls = append(polls, time.Now())
+		n := len(polls)
 		mu.Unlock()
-		resp := api.LeaseResponse{PollMillis: 60_000} // from the third reply on, a wait that outlasts the test
-		switch n {
-		case 1:
-			resp.PollMillis = 0 // held, empty
-		case 2:
+		// Reading the body lets the server notice the worker hang up.
+		io.Copy(io.Discard, r.Body)
+		var resp api.LeaseResponse // the first reply is empty
+		switch {
+		case n >= 3:
+			<-r.Context().Done() // held until the worker stops
+			return
+		case n == 2:
 			resp.Leases = []api.Lease{
 				{ID: "lease-1", Cell: api.Cell{ID: 1, Name: "SIE", Insns: 100}},
 				{ID: "lease-2", Cell: api.Cell{ID: 2, Name: "SIE", Insns: 200}},
@@ -328,11 +277,14 @@ func TestWorkerCountsLeaseGrants(t *testing.T) {
 	waitFor(t, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return polls >= 3 && len(reported) == 3
+		return len(polls) >= 3 && len(reported) == 3
 	})
 	cancel()
 	<-done
 
+	if gap := polls[1].Sub(polls[0]); gap > 100*time.Millisecond {
+		t.Errorf("worker waited %v after an empty reply, want the next call at once", gap)
+	}
 	if grants, cells := w.Grants(); grants != 1 || cells != 3 {
 		t.Errorf("Grants() = %d grants, %d cells; want 1 grant of 3 cells", grants, cells)
 	}

@@ -191,6 +191,11 @@ func (opaqueInjector) AfterIRBInsert(pc uint64, b *irb.IRB)                     
 // cache, bit-identical to the first, with CacheHit set on every cell.
 func TestRunCacheRoundTrip(t *testing.T) {
 	jobs := testJobs(t, []string{"bzip2"}, 5_000)
+	trb, ok := core.ModeByName("DIE-TRB") // its cells carry TRB stats as well as IRB stats
+	if !ok {
+		t.Fatal("DIE-TRB mode not registered")
+	}
+	jobs = append(jobs, runner.Job{Name: "DIE-TRB", Config: trb.Base(), Profile: jobs[0].Profile, Opts: jobs[0].Opts})
 	cache := newMapCache()
 	first, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: 2, Cache: cache})
 	if err != nil {
@@ -230,11 +235,25 @@ func TestRunCacheRoundTrip(t *testing.T) {
 		t.Errorf("progress reached %d/%d on an all-cached run", progressDone, len(jobs))
 	}
 
-	// Cached results must not alias each other's IRB stats.
+	// Neither a miss nor a hit may alias its cache entry's IRB and TRB
+	// stats, and hits must not alias each other's.
+	aliased := func(a, b sim.Result) bool {
+		return a.IRB != nil && a.IRB == b.IRB || a.TRB != nil && a.TRB == b.TRB
+	}
 	for i := range second {
+		k, err := jobs[i].Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second[i].Result.TRB == nil && jobs[i].Name == "DIE-TRB" {
+			t.Fatal("the DIE-TRB hit carries no TRB stats")
+		}
+		if aliased(first[i].Result, cache.m[k]) || aliased(second[i].Result, cache.m[k]) {
+			t.Fatalf("cell %d (%s) shares a stats pointer with its cache entry", i, jobs[i].Name)
+		}
 		for j := i + 1; j < len(second); j++ {
-			if second[i].Result.IRB != nil && second[i].Result.IRB == second[j].Result.IRB {
-				t.Fatalf("cells %d and %d share an IRB stats pointer", i, j)
+			if aliased(second[i].Result, second[j].Result) {
+				t.Fatalf("cells %d and %d share a stats pointer", i, j)
 			}
 		}
 	}

@@ -226,6 +226,21 @@ type Cache interface {
 	Put(key string, res sim.Result)
 }
 
+// detached returns a copy of r that shares no mutable state with it, so a
+// cache entry and every outcome served from it own their IRB and TRB
+// statistics.
+func detached(r sim.Result) sim.Result {
+	if r.IRB != nil {
+		st := *r.IRB
+		r.IRB = &st
+	}
+	if r.TRB != nil {
+		st := *r.TRB
+		r.TRB = &st
+	}
+	return r
+}
+
 // Progress is a snapshot delivered after each completed cell.
 type Progress struct {
 	Done, Total int
@@ -449,10 +464,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 			}
 			keys[i] = k
 			if res, ok := opts.Cache.Get(k); ok {
-				if res.IRB != nil {
-					st := *res.IRB
-					res.IRB = &st // hits must not share mutable state
-				}
+				res = detached(res)       // hits must not share mutable state
 				res.Config = jobs[i].Name // display name is not part of the key
 				outs[i] = Outcome{Job: jobs[i], Result: res, CacheHit: true}
 			}
@@ -541,7 +553,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 	finish := func(i int, r sim.Result, err error) {
 		outs[i].Result, outs[i].Err = r, err
 		if err == nil && keys != nil && keys[i] != "" {
-			opts.Cache.Put(keys[i], r)
+			opts.Cache.Put(keys[i], detached(r))
 		}
 		report(i)
 	}

@@ -127,13 +127,13 @@ type Error struct {
 // POST /v1/heartbeat and POST /v1/complete. A Cell carries everything a
 // worker needs to rebuild the runner.Job locally — simulation is
 // deterministic in these fields (they are exactly what Job.Fingerprint
-// hashes), so a cell executed on any worker, or re-executed after a lease
-// expiry, produces a bit-identical result.
+// hashes), so a cell executed on any worker, or re-executed after a lost
+// lease, produces a bit-identical result.
 
 // Cell is one grid cell shipped from the coordinator to a worker.
 type Cell struct {
 	// ID is the coordinator-assigned cell identity, echoed back in the
-	// completion so late results (after a lease expiry) still find their
+	// completion so late results (after a lost lease) still find their
 	// cell.
 	ID uint64 `json:"id"`
 	// Name is the configuration display name (runner.Job.Name).
@@ -166,29 +166,25 @@ type Lease struct {
 	Cell Cell   `json:"cell"`
 }
 
-// LeaseResponse is the body of a successful POST /v1/lease.
+// LeaseResponse is the body of a successful POST /v1/lease. An empty
+// reply was held at the coordinator until its hold elapsed: ask again
+// now.
 type LeaseResponse struct {
 	Leases []Lease `json:"leases"`
-	// TTLMillis is how long each lease lives without a heartbeat.
-	TTLMillis int64 `json:"ttl_ms"`
-	// HeartbeatMillis is the renewal cadence the worker must hold while
-	// it owns leases.
+	// HeartbeatMillis is the heartbeat cadence the worker must hold
+	// while it runs the grant.
 	HeartbeatMillis int64 `json:"heartbeat_ms"`
-	// PollMillis is the wait before the next lease request when no cells
-	// were granted. 0 means the call was held at the coordinator until
-	// the hold elapsed: poll again now.
-	PollMillis int64 `json:"poll_ms"`
 }
 
-// HeartbeatRequest is the body of POST /v1/heartbeat: it renews every
-// lease the worker holds.
+// HeartbeatRequest is the body of POST /v1/heartbeat: it refreshes the
+// worker's liveness, which keeps the cells it holds.
 type HeartbeatRequest struct {
 	Worker string `json:"worker"`
 }
 
 // HeartbeatResponse reports whether the coordinator still knows the
 // worker. Known=false after a coordinator restart or a dead-worker
-// expiry: the worker's leases are gone and any in-flight work will be
+// sweep: the worker's cells are gone and any in-flight work will be
 // deduplicated on completion.
 type HeartbeatResponse struct {
 	Known bool `json:"known"`
@@ -198,7 +194,7 @@ type HeartbeatResponse struct {
 type CellCompletion struct {
 	LeaseID string `json:"lease_id"`
 	// CellID identifies the cell independently of the lease, so a
-	// completion arriving after the lease expired is still matched and
+	// completion arriving after its lease was lost is still matched and
 	// deduplicated instead of lost.
 	CellID uint64      `json:"cell_id"`
 	Result *sim.Result `json:"result,omitempty"`

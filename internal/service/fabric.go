@@ -472,15 +472,15 @@ func renderFabricMetrics(w io.Writer, m fabric.Metrics) {
 	fmt.Fprintln(w, "# TYPE simserved_fabric_cells_pending gauge")
 	fmt.Fprintf(w, "simserved_fabric_cells_pending %d\n", m.CellsPending)
 
-	fmt.Fprintln(w, "# HELP simserved_fabric_leases_active Leases currently granted.")
+	fmt.Fprintln(w, "# HELP simserved_fabric_leases_active Cells currently held by workers.")
 	fmt.Fprintln(w, "# TYPE simserved_fabric_leases_active gauge")
 	fmt.Fprintf(w, "simserved_fabric_leases_active %d\n", m.LeasesActive)
 
-	fmt.Fprintln(w, "# HELP simserved_fabric_lease_expiries_total Leases lost to missed heartbeats or worker death.")
+	fmt.Fprintln(w, "# HELP simserved_fabric_lease_expiries_total Leased cells lost: the holding worker missed its heartbeats or asked for a new grant.")
 	fmt.Fprintln(w, "# TYPE simserved_fabric_lease_expiries_total counter")
 	fmt.Fprintf(w, "simserved_fabric_lease_expiries_total %d\n", m.LeaseExpiries)
 
-	fmt.Fprintln(w, "# HELP simserved_fabric_cells_retried_total Cells re-queued after a lease expiry.")
+	fmt.Fprintln(w, "# HELP simserved_fabric_cells_retried_total Cells re-queued after a lost lease.")
 	fmt.Fprintln(w, "# TYPE simserved_fabric_cells_retried_total counter")
 	fmt.Fprintf(w, "simserved_fabric_cells_retried_total %d\n", m.CellsRetried)
 

@@ -399,7 +399,7 @@ func TestRetryAfterIsJittered(t *testing.T) {
 // heartbeat, and the draining refusal with its Retry-After. The short TTL
 // keeps the idle first lease call's hold (a quarter of it) short.
 func TestLeaseEndpointsOverHTTP(t *testing.T) {
-	coord := fabric.NewCoordinator(fabric.CoordinatorConfig{LeaseTTL: 200 * time.Millisecond})
+	coord := fabric.NewCoordinator(200 * time.Millisecond)
 	s, ts := newTestServer(t, Config{Coordinator: coord})
 	cl := &fabric.Client{BaseURL: ts.URL}
 	ctx := context.Background()
@@ -408,8 +408,8 @@ func TestLeaseEndpointsOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lease: %v", err)
 	}
-	if resp.TTLMillis <= 0 || resp.HeartbeatMillis <= 0 {
-		t.Errorf("lease response missing protocol timings: %+v", resp)
+	if resp.HeartbeatMillis != 50 {
+		t.Errorf("lease response names a %d ms heartbeat, want a quarter of the 200 ms TTL", resp.HeartbeatMillis)
 	}
 	if _, err := cl.Heartbeat(ctx, api.HeartbeatRequest{Worker: "w1"}); err != nil {
 		t.Fatalf("heartbeat: %v", err)
@@ -439,7 +439,7 @@ func TestLeaseEndpointsOverHTTP(t *testing.T) {
 // the coordinator at once, answering it as a lease arriving during the
 // drain is answered: 503 with Retry-After.
 func TestDrainReleasesHeldLease(t *testing.T) {
-	coord := fabric.NewCoordinator(fabric.CoordinatorConfig{LeaseTTL: 10 * time.Second}) // a 2.5 s hold
+	coord := fabric.NewCoordinator(10 * time.Second) // a 2.5 s hold
 	s, ts := newTestServer(t, Config{Coordinator: coord})
 	cl := &fabric.Client{BaseURL: ts.URL}
 	errCh := make(chan error, 1)
@@ -472,7 +472,7 @@ func TestDrainReleasesHeldLease(t *testing.T) {
 func TestHeldWorkerStaysLive(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	// 50 ms holds; a worker silent for 150 ms is marked dead.
-	coord := fabric.NewCoordinator(fabric.CoordinatorConfig{LeaseTTL: 200 * time.Millisecond})
+	coord := fabric.NewCoordinator(200 * time.Millisecond)
 	coord.Start(ctx)
 	s, ts := newTestServer(t, Config{Coordinator: coord})
 	worker := &fabric.Worker{
@@ -511,10 +511,7 @@ func TestHeldWorkerStaysLive(t *testing.T) {
 func TestCoordinatorModeEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	coord := fabric.NewCoordinator(fabric.CoordinatorConfig{
-		LeaseTTL:   2 * time.Second,
-		SweepEvery: 50 * time.Millisecond,
-	})
+	coord := fabric.NewCoordinator(2 * time.Second)
 	coord.Start(ctx)
 	_, ts := newTestServer(t, Config{Workers: 1, Coordinator: coord})
 
@@ -595,7 +592,7 @@ func TestCoordinatorRunsOnParallelismWorkers(t *testing.T) {
 	}
 	t.Cleanup(func() { runnerRun = origRun })
 
-	coord := fabric.NewCoordinator(fabric.CoordinatorConfig{})
+	coord := fabric.NewCoordinator(0)
 	_, ts := newTestServer(t, Config{Workers: 1, Parallelism: 2, Coordinator: coord})
 	body := `{"configs":["SIE","DIE"],"benchmarks":["gzip","bzip2","mesa"],"insns":2000}`
 	code, run, _ := postRun(t, ts.URL, body)

@@ -85,9 +85,6 @@ type Config struct {
 	// completed cells and cache inserts are journaled as they happen, and
 	// RecoverJournal resumes from them at boot.
 	Journal *fabric.Journal
-	// Seed seeds the daemon's jitter PRNG (Retry-After spreading); 0
-	// selects 1. Operational only — simulation results never see it.
-	Seed uint64
 }
 
 // runRetention bounds the run records kept for GET /v1/runs/{id}; the
@@ -143,10 +140,6 @@ func New(cfg Config) *Server {
 	if cfg.DefaultInsns == 0 {
 		cfg.DefaultInsns = sim.DefaultInsns
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	drain, beginDrain := context.WithCancel(context.Background())
 	return &Server{
 		cfg:        cfg,
@@ -157,7 +150,7 @@ func New(cfg Config) *Server {
 		drain:      drain,
 		beginDrain: beginDrain,
 		runs:       make(map[string]*Run),
-		rng:        rand.New(rand.NewPCG(seed, 0x5e21ed)),
+		rng:        rand.New(rand.NewPCG(1, 0x5e21ed)),
 		streams:    make(map[string]*stream),
 	}
 }
