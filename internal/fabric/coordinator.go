@@ -5,12 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"math/rand/v2"
 	"slices"
 	"sync"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/internal/fault"
 	"repro/internal/runner"
 	"repro/internal/service/api"
@@ -18,10 +16,10 @@ import (
 )
 
 // now is the fabric's single sanctioned wall-clock read: heartbeat ages
-// and backoff gates flow through it, so tests freeze time and drive the
-// lease state machine deterministically.
+// flow through it, so tests freeze time and drive the lease state machine
+// deterministically.
 //
-//determinism:exempt sole injected clock seam; heartbeat ages and backoff gates only, tests substitute it
+//determinism:exempt sole injected clock seam; heartbeat ages only, tests substitute it
 var now = time.Now
 
 // The lease protocol's fixed budgets. Every timer is derived from the
@@ -57,12 +55,11 @@ type outcome struct {
 }
 
 type cell struct {
-	id        uint64
-	k         int // index in its submission
-	job       runner.Job
-	wire      api.Cell
-	attempts  int       // leases lost
-	notBefore time.Time // backoff gate of a re-queued cell
+	id       uint64
+	k        int // index in its submission
+	job      runner.Job
+	wire     api.Cell
+	attempts int // leases lost
 	// holder is the worker holding the cell and leaseID the lease it was
 	// granted under; both are empty while the cell is pending.
 	holder, leaseID string
@@ -96,9 +93,9 @@ type Metrics struct {
 // Coordinator shards grid cells across pull-based workers and survives
 // their crashes. A granted cell is held by its worker for as long as the
 // worker is live: a worker that misses its heartbeats, or that asks for a
-// new grant, loses the cells it holds, which re-queue with capped
-// jittered backoff, and a fleet with no live workers degrades to
-// in-process execution. It plugs into the grid runner as its Execute
+// new grant, loses the cells it holds, which rejoin the back of the queue
+// at once, and a fleet with no live workers degrades to in-process
+// execution. It plugs into the grid runner as its Execute
 // seam, so the planner, result cache, progress reporting and error
 // capture above it are exactly the standalone daemon's.
 type Coordinator struct {
@@ -107,7 +104,6 @@ type Coordinator struct {
 	beat time.Duration
 
 	mu    sync.Mutex
-	rng   *rand.Rand       // backoff jitter
 	cells map[uint64]*cell // unsettled cells
 	// settled keeps, per settled cell, only the SHA-256 of its canonical
 	// completion: a late duplicate is asserted bit-identical against it.
@@ -118,8 +114,8 @@ type Coordinator struct {
 	nextCell uint64
 	nextLse  uint64
 	met      Metrics
-	// wake is closed and replaced whenever a submission enqueues cells,
-	// releasing every lease call LeaseWait holds.
+	// wake is closed and replaced whenever cells join the queue, releasing
+	// every lease call LeaseWait holds.
 	wake chan struct{}
 }
 
@@ -133,7 +129,6 @@ func NewCoordinator(leaseTTL time.Duration) *Coordinator {
 	}
 	return &Coordinator{
 		beat:    leaseTTL / 4,
-		rng:     rand.New(rand.NewPCG(1, 0xfab51c)),
 		cells:   make(map[uint64]*cell),
 		settled: make(map[uint64][sha256.Size]byte),
 		workers: make(map[string]*workerState),
@@ -240,10 +235,16 @@ func (c *Coordinator) enqueue(jobs []runner.Job, done chan<- outcome) []*cell {
 		enqueued = true
 	}
 	if enqueued {
-		close(c.wake)
-		c.wake = make(chan struct{})
+		c.wakeHeld()
 	}
 	return cells
+}
+
+// wakeHeld releases every lease call LeaseWait holds, after cells joined
+// the queue. The caller holds mu.
+func (c *Coordinator) wakeHeld() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // abandon drops the unsettled cells of a submission whose run was
@@ -258,8 +259,8 @@ func (c *Coordinator) abandon(cells []*cell) {
 	}
 }
 
-// Lease grants the calling worker the oldest eligible pending cells, in
-// queue order, registering (or reviving) it on the way. A worker runs one
+// Lease grants the calling worker the oldest pending cells, in queue
+// order, registering (or reviving) it on the way. A worker runs one
 // grant at a time, so the cells it still holds are lost first: a grant
 // whose reply never reached it, or the grant of a predecessor that died
 // under the same ID. Any live worker may take any cell: the runner
@@ -281,23 +282,22 @@ func (c *Coordinator) Lease(req api.LeaseRequest) api.LeaseResponse {
 		c.live++
 	}
 	w.lastSeen = t
-	c.loseHeld(t, func(holder string) bool { return holder == req.Worker })
+	c.loseHeld(func(holder string) bool { return holder == req.Worker })
 
 	max := req.Max
 	if max <= 0 || max > leaseBatch {
 		max = leaseBatch
 	}
 
-	// Grant the first max cells past their backoff gate and keep the
-	// rest in order, compacting the queue on the way (settled and held
-	// entries drop out here).
+	// Grant the first max cells and keep the rest in order, compacting
+	// the queue on the way (settled and held entries drop out here).
 	var grant, keep []uint64
 	for _, id := range c.pending {
 		cl, okc := c.cells[id]
 		if !okc || cl.holder != "" {
 			continue
 		}
-		if len(grant) < max && !cl.notBefore.After(t) {
+		if len(grant) < max {
 			grant = append(grant, id)
 		} else {
 			keep = append(keep, id)
@@ -442,7 +442,7 @@ func (c *Coordinator) Tick() {
 			c.met.DeadWorkers++
 		}
 	}
-	c.loseHeld(t, func(holder string) bool { return c.workers[holder].dead })
+	c.loseHeld(func(holder string) bool { return c.workers[holder].dead })
 	if c.live > 0 {
 		return
 	}
@@ -454,16 +454,19 @@ func (c *Coordinator) Tick() {
 	c.pending = nil
 }
 
-// loseHeld takes back every cell whose holder lost it, in cell-ID order
-// so the backoff jitter they draw replays: each is re-queued behind its
-// backoff gate, or handed back for in-process execution once its retry
-// budget is spent or no worker is live.
-func (c *Coordinator) loseHeld(t time.Time, lost func(holder string) bool) {
+// loseHeld takes back every cell whose holder lost it: each rejoins the
+// back of the queue, grantable at once, or is handed back for in-process
+// execution once its retry budget is spent or no worker is live. It takes
+// them in cell-ID order rather than map order, so the cells a later grant
+// carries follow from the protocol calls alone and a FuzzLeaseProtocol
+// failure replays.
+func (c *Coordinator) loseHeld(lost func(holder string) bool) {
 	var ids []uint64
 	for id := range c.cells {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
+	requeued := false
 	for _, id := range ids {
 		cl := c.cells[id]
 		if cl.holder == "" || !lost(cl.holder) {
@@ -476,9 +479,12 @@ func (c *Coordinator) loseHeld(t time.Time, lost func(holder string) bool) {
 			c.runLocal(cl)
 			continue
 		}
-		cl.notBefore = t.Add(backoff.Default().Delay(cl.attempts-1, c.rng))
 		c.pending = append(c.pending, cl.id)
 		c.met.CellsRetried++
+		requeued = true
+	}
+	if requeued {
+		c.wakeHeld()
 	}
 }
 

@@ -62,10 +62,6 @@ func testJob(t *testing.T, name string, insns uint64) runner.Job {
 // the next sweep.
 const testTTL = 10 * time.Second
 
-// pastGate is a clock advance past any re-queued cell's backoff gate:
-// the fifth retry waits at most 1.6 s plus a quarter of jitter.
-const pastGate = 2 * time.Second
-
 // executeOne submits a one-cell run to Execute and returns the cell's
 // settlement.
 func executeOne(ctx context.Context, c *Coordinator, j runner.Job) (res sim.Result, err error) {
@@ -188,9 +184,9 @@ func TestExecuteLocalForUnshippableJob(t *testing.T) {
 
 // TestLeaseExpiryRetriesOnSurvivor is the crash-recovery spine: worker w1
 // leases a cell and goes silent; the sweep marks it dead and re-queues
-// the cell with backoff; survivor w2 picks it up after the backoff gate
-// and completes it; Execute returns the result. The expiry and the retry
-// are both visible in the metrics.
+// the cell; survivor w2 picks it up at its next lease call and completes
+// it; Execute returns the result. The expiry and the retry are both
+// visible in the metrics.
 func TestLeaseExpiryRetriesOnSurvivor(t *testing.T) {
 	fc := freezeClock(t)
 	c := NewCoordinator(testTTL)
@@ -210,11 +206,6 @@ func TestLeaseExpiryRetriesOnSurvivor(t *testing.T) {
 		t.Fatalf("after silence: metrics %+v, want 1 dead / 1 expiry / 1 retry", m)
 	}
 
-	// The re-queued cell sits behind its backoff gate.
-	if resp := c.Lease(api.LeaseRequest{Worker: "w2"}); len(resp.Leases) != 0 {
-		t.Fatalf("cell leased before its backoff gate: %+v", resp.Leases)
-	}
-	fc.advance(pastGate)
 	release := leaseAll(t, c, "w2", 1)
 	if release[0].Cell.ID != leases[0].Cell.ID {
 		t.Fatalf("retry leased cell %d, want %d", release[0].Cell.ID, leases[0].Cell.ID)
@@ -247,7 +238,10 @@ func TestLostGrantRequeuedAtNextLease(t *testing.T) {
 	doneA := startExecute(c, testJob(t, "cell-a", 5000))
 	lost := leaseAll(t, c, "w1", 1)[0] // the reply never reaches w1
 
+	// w1 asks again only once cell-b is queued: a call that raced the
+	// enqueue would be granted the lost cell-a straight back.
 	doneB := startExecute(c, testJob(t, "cell-b", 6000))
+	waitFor(t, func() bool { return c.Metrics().CellsPending == 1 })
 	b := leaseAll(t, c, "w1", 1)[0]
 	if b.Cell.Name != "cell-b" {
 		t.Fatalf("w1's next lease call was granted %s, want cell-b", b.Cell.Name)
@@ -293,8 +287,8 @@ func TestLostGrantRequeuedAtNextLease(t *testing.T) {
 
 // TestRestartedWorkerTakesBackCells: a worker restarted under its old ID
 // loses its predecessor's cells at its first lease call, long before the
-// predecessor would be declared dead, and leases them again once their
-// backoff gate passes.
+// predecessor would be declared dead, and that same call grants them back
+// under new leases.
 func TestRestartedWorkerTakesBackCells(t *testing.T) {
 	fc := freezeClock(t)
 	c := NewCoordinator(testTTL)
@@ -305,15 +299,13 @@ func TestRestartedWorkerTakesBackCells(t *testing.T) {
 	held := leaseAll(t, c, "w1", 2) // the predecessor dies holding both
 
 	fc.advance(time.Second)
-	if resp := c.Lease(api.LeaseRequest{Worker: "w1"}); len(resp.Leases) != 0 {
-		t.Fatalf("the restarted worker's first call was granted %+v before the backoff gate", resp.Leases)
+	again := c.Lease(api.LeaseRequest{Worker: "w1"}).Leases
+	if len(again) != len(held) {
+		t.Fatalf("the restarted worker's first call was granted %d cells, want its predecessor's %d", len(again), len(held))
 	}
-	if m := c.Metrics(); m.LeaseExpiries != 2 || m.CellsRetried != 2 || m.LeasesActive != 0 || m.DeadWorkers != 0 {
-		t.Fatalf("after the restarted worker's first call: metrics %+v, want 2 expiries, 2 retries, no held cell, no dead worker", m)
+	if m := c.Metrics(); m.LeaseExpiries != 2 || m.CellsRetried != 2 || m.LeasesActive != 2 || m.DeadWorkers != 0 {
+		t.Fatalf("after the restarted worker's first call: metrics %+v, want 2 expiries, 2 retries, 2 held cells, no dead worker", m)
 	}
-
-	fc.advance(pastGate)
-	again := leaseAll(t, c, "w1", 2)
 	var comps []api.CellCompletion
 	for i, l := range again {
 		if l.Cell.ID != held[i].Cell.ID || l.ID == held[i].ID {
@@ -387,10 +379,6 @@ func TestRetryBudgetDegradesToLocal(t *testing.T) {
 	done := startExecute(c, testJob(t, "SIE", 5000))
 
 	for attempt := 1; attempt <= maxAttempts+1; attempt++ {
-		if attempt > 1 {
-			fc.advance(pastGate)
-			c.Heartbeat(api.HeartbeatRequest{Worker: "keeper"})
-		}
 		leaseAll(t, c, "w1", 1) // w1 (revived) takes the cell and goes silent
 		fc.advance(8 * time.Second)
 		c.Heartbeat(api.HeartbeatRequest{Worker: "keeper"})
@@ -518,6 +506,47 @@ func TestLeaseWaitGrantsEnqueuedCell(t *testing.T) {
 	}})
 	if out := <-done; out.Err != nil {
 		t.Fatalf("Execute returned error: %v", out.Err)
+	}
+}
+
+// TestTickWakesParkedWorker: a cell the sweep takes back from a dead
+// worker reaches a survivor parked in a held lease call at once, not when
+// the hold (2.5 s at the 10 s TTL) elapses.
+func TestTickWakesParkedWorker(t *testing.T) {
+	fc := freezeClock(t)
+	c := NewCoordinator(testTTL)
+	c.Lease(api.LeaseRequest{Worker: "w1"})
+	done := startExecute(c, testJob(t, "SIE", 5000))
+	lost := leaseAll(t, c, "w1", 1)[0] // w1 dies holding it
+
+	fc.advance(8 * time.Second) // past 3 missed 2.5 s heartbeats
+	got := make(chan api.LeaseResponse, 1)
+	go func() { got <- c.LeaseWait(context.Background(), api.LeaseRequest{Worker: "w2"}) }()
+	waitFor(t, func() bool { return c.Metrics().WorkersLive == 2 })
+
+	start := time.Now()
+	c.Tick()
+	var resp api.LeaseResponse
+	select {
+	case resp = <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the survivor's held lease call never returned")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("the survivor's held call returned %v after the sweep, want within 1s", d)
+	}
+	if len(resp.Leases) != 1 || resp.Leases[0].Cell.ID != lost.Cell.ID {
+		t.Fatalf("the survivor's held call was granted %+v, want the dead worker's cell %d", resp.Leases, lost.Cell.ID)
+	}
+	l := resp.Leases[0]
+	c.Complete(api.CompleteRequest{Worker: "w2", Cells: []api.CellCompletion{
+		{LeaseID: l.ID, CellID: l.Cell.ID, Result: &sim.Result{}},
+	}})
+	if out := <-done; out.Err != nil {
+		t.Fatalf("Execute returned error: %v", out.Err)
+	}
+	if m := c.Metrics(); m.DeadWorkers != 1 || m.LeaseExpiries != 1 || m.CellsRetried != 1 {
+		t.Errorf("metrics %+v, want 1 dead worker, 1 expiry, 1 retry", m)
 	}
 }
 
