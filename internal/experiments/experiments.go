@@ -451,8 +451,8 @@ func modeConfigs(modes ...core.Mode) []sim.NamedConfig {
 }
 
 // accumulate folds one cell's counters into the campaign row.
-func (r *FaultRow) accumulate(injected uint64, st *core.Stats) {
-	r.Injected += injected
+func (r *FaultRow) accumulate(st *core.Stats) {
+	r.Injected += st.FaultsInjected
 	r.Detected += st.FaultsDetected
 	r.Masked += st.FaultsMasked
 	r.Silent += st.FaultsSilent
@@ -494,7 +494,6 @@ func runCampaigns(cfgs []sim.NamedConfig, cs []campaign, opts Options) (g *Grid,
 	}
 	jobs := gridJobs(cfgs, profiles, opts)
 	grid := len(jobs)
-	var injs []*fault.Injector
 	for _, c := range cs {
 		for _, p := range profiles {
 			inj, err := fault.New(fault.Config{Site: c.site, Rate: c.rate, Seed: p.Seed})
@@ -510,7 +509,6 @@ func runCampaigns(cfgs []sim.NamedConfig, cs []campaign, opts Options) (g *Grid,
 				Profile: p,
 				Opts:    o,
 			})
-			injs = append(injs, inj)
 		}
 	}
 	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())
@@ -525,7 +523,7 @@ func runCampaigns(cfgs []sim.NamedConfig, cs []campaign, opts Options) (g *Grid,
 		ipcs := make([]float64, len(profiles))
 		for pi := range profiles {
 			i := ci*len(profiles) + pi
-			row.accumulate(injs[i].Injected, &outs[i].Result.Core)
+			row.accumulate(&outs[i].Result.Core)
 			ipcs[pi] = outs[i].Result.IPC
 		}
 		row.Vanished = int64(row.Injected) - int64(row.Detected) - int64(row.Masked) - int64(row.Silent)

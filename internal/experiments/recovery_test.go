@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 )
 
 // faultQuickOpts trims the campaign grid enough that the determinism
@@ -86,6 +88,62 @@ func TestRecoveryShape(t *testing.T) {
 			if r.Detected == 0 || r.Recoveries == 0 {
 				t.Errorf("%s @ %g: detected %d, recovered %d — campaign never exercised recovery",
 					label, r.Rate, r.Detected, r.Recoveries)
+			}
+		}
+	}
+}
+
+// mapCache is a minimal thread-safe runner.Cache.
+type mapCache struct {
+	mu sync.Mutex
+	m  map[string]sim.Result
+}
+
+func (c *mapCache) Get(key string) (sim.Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.m[key]
+	return r, ok
+}
+
+func (c *mapCache) Put(key string, res sim.Result) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[key] = res
+}
+
+// TestCampaignTablesFromCache: a fault campaign's counters travel with
+// its cells' results, so a table served from a result cache reads what
+// the simulated one does. Every experiment that injects faults runs twice
+// through one shared cache (frontier's DIE and DIE-IRB campaigns are
+// already cached by faults on the first pass), and each table must equal
+// its cache-free output.
+func TestCampaignTablesFromCache(t *testing.T) {
+	opts := Options{Insns: 10_000, Benchmarks: []string{"gzip", "mcf"}}
+	names := []string{"faults", "frontier", "trb", "recovery"}
+	render := func(name string, o Options) string {
+		t.Helper()
+		exp, ok := ByName(name)
+		if !ok {
+			t.Fatalf("experiment %s is not registered", name)
+		}
+		tbl, err := exp.Run(o)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return tbl.String()
+	}
+	want := map[string]string{}
+	for _, name := range names {
+		want[name] = render(name, opts)
+	}
+	cached := opts
+	cached.Cache = &mapCache{m: map[string]sim.Result{}}
+	for pass := 1; pass <= 2; pass++ {
+		for _, name := range names {
+			if got := render(name, cached); got != want[name] {
+				t.Errorf("pass %d: %s through the cache differs from its cache-free table\n got:\n%s\nwant:\n%s",
+					pass, name, got, want[name])
 			}
 		}
 	}

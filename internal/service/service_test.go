@@ -251,6 +251,29 @@ func TestServiceCacheHitOnRepeat(t *testing.T) {
 	}
 }
 
+// TestFaultCountsSurviveCacheHit: a fault campaign's injected count is
+// part of the cell's result, so the simulated reply and the cache hit that
+// repeats it report the same non-zero count.
+func TestFaultCountsSurviveCacheHit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const body = `{"configs":["DIE"],"benchmarks":["gzip"],"insns":20000,"fault":{"site":"fu","rate":0.001,"seed":3}}`
+	var injected [2]uint64
+	for i, wantHit := range []bool{false, true} {
+		code, run, _ := postRun(t, ts.URL, body)
+		if code != http.StatusOK || run.Status != StatusDone || len(run.Results) != 1 || run.Results[0].Result == nil {
+			t.Fatalf("POST %d: code %d, run %+v", i+1, code, run)
+		}
+		cell := run.Results[0]
+		if cell.CacheHit != wantHit {
+			t.Fatalf("POST %d: cache hit %t, want %t", i+1, cell.CacheHit, wantHit)
+		}
+		injected[i] = cell.Result.Core.FaultsInjected
+	}
+	if injected[0] == 0 || injected[1] != injected[0] {
+		t.Errorf("FaultsInjected read %d on the miss and %d on the hit, want the same non-zero count", injected[0], injected[1])
+	}
+}
+
 // TestServiceBackpressure saturates the admission queue and checks the
 // overflow request is refused with 429 + Retry-After while the admitted
 // run still completes.

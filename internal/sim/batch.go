@@ -121,6 +121,11 @@ func RunBatchContext(ctx context.Context, name string, cfg core.Config, p worklo
 			st := *leader.TRB
 			r.TRB = &st
 		}
+		// A fault-free lane injected nothing; the lane riding the leader
+		// carries its own fires, every other convergent lane none.
+		if bi, ok := lanes[i].Injector.(core.BatchableInjector); ok {
+			r.Core.FaultsInjected = bi.InjectedCount()
+		}
 		outs[i] = BatchOutcome{Result: r}
 	}
 	return outs, nil

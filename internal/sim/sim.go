@@ -262,7 +262,11 @@ func RunContext(ctx context.Context, name string, cfg core.Config, p workload.Pr
 		return Result{}, fmt.Errorf("%w: %s on %s committed only %d/%d instructions",
 			ErrProgramTooShort, p.Name, name, c.Stats.Committed, opts.Insns)
 	}
-	return harvest(c, p.Name, name, cfg.Mode), nil
+	res := harvest(c, p.Name, name, cfg.Mode)
+	if bi, ok := opts.Injector.(core.BatchableInjector); ok {
+		res.Core.FaultsInjected = bi.InjectedCount()
+	}
+	return res, nil
 }
 
 // prepareRun performs everything that precedes the cycle loop, shared by
