@@ -517,12 +517,7 @@ func cellFromJob(j runner.Job) (api.Cell, bool) {
 			return api.Cell{}, false
 		}
 		spec := inj.Spec()
-		wire.Fault = &api.FaultSpec{
-			Site:      string(spec.Site),
-			Rate:      spec.Rate,
-			Seed:      spec.Seed,
-			MaxFaults: spec.MaxFaults,
-		}
+		wire.Fault = &spec
 	}
 	return wire, true
 }
@@ -539,12 +534,7 @@ func JobFromCell(c api.Cell) (runner.Job, error) {
 		Seed:        c.Seed,
 	}
 	if c.Fault != nil {
-		inj, err := fault.New(fault.Config{
-			Site:      fault.Site(c.Fault.Site),
-			Rate:      c.Fault.Rate,
-			Seed:      c.Fault.Seed,
-			MaxFaults: c.Fault.MaxFaults,
-		})
+		inj, err := fault.New(*c.Fault)
 		if err != nil {
 			return runner.Job{}, fmt.Errorf("fabric: rebuilding cell %d injector: %w", c.ID, err)
 		}

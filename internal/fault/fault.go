@@ -43,16 +43,17 @@ const (
 // Sites lists all injection sites.
 func Sites() []Site { return []Site{FU, Forward, IRBResult, IRBOperand} }
 
-// Config parameterizes an injection campaign.
+// Config parameterizes an injection campaign. Its JSON form is the fault
+// spec of a run request and of a fabric cell on the wire.
 type Config struct {
-	Site Site
+	Site Site `json:"site"` // fu, forward, irb-result, irb-operand
 	// Rate is the per-opportunity injection probability. Keep it small
 	// (1e-4 .. 1e-3) so at most a few faults are in flight at once.
-	Rate float64
+	Rate float64 `json:"rate"`
 	// Seed makes the campaign reproducible.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// MaxFaults caps the campaign (0 = unlimited).
-	MaxFaults uint64
+	MaxFaults uint64 `json:"max_faults,omitempty"`
 }
 
 // Validate reports configuration errors.

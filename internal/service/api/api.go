@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -43,14 +44,9 @@ type RunRequest struct {
 	Fault *FaultSpec `json:"fault,omitempty"`
 }
 
-// FaultSpec is the serializable fault campaign of a run request; it maps
-// onto fault.Config, one fresh injector per cell.
-type FaultSpec struct {
-	Site      string  `json:"site"` // fu, forward, irb-result, irb-operand
-	Rate      float64 `json:"rate"`
-	Seed      uint64  `json:"seed,omitempty"`
-	MaxFaults uint64  `json:"max_faults,omitempty"`
-}
+// FaultSpec is the serializable fault campaign of a run request: the
+// fault.Config each cell builds its own fresh injector from.
+type FaultSpec = fault.Config
 
 // CellResult is one grid cell's outcome in a run response.
 type CellResult struct {

@@ -18,7 +18,6 @@ import (
 // test. The daemon uses them under their traditional names.
 type (
 	RunRequest = api.RunRequest
-	FaultSpec  = api.FaultSpec
 	CellResult = api.CellResult
 	Run        = api.Run
 )
@@ -169,13 +168,7 @@ func (s *Server) buildJobs(req *RunRequest) ([]runner.Job, error) {
 		cols = append(cols, sim.NamedConfig{Name: string(mi.Mode), Cfg: mi.Base()})
 	}
 	if req.Fault != nil {
-		spec := fault.Config{
-			Site:      fault.Site(req.Fault.Site),
-			Rate:      req.Fault.Rate,
-			Seed:      req.Fault.Seed,
-			MaxFaults: req.Fault.MaxFaults,
-		}
-		if err := spec.Validate(); err != nil {
+		if err := req.Fault.Validate(); err != nil {
 			return nil, err
 		}
 	}
@@ -200,12 +193,7 @@ func (s *Server) buildJobs(req *RunRequest) ([]runner.Job, error) {
 				Seed:        req.Seed,
 			}
 			if req.Fault != nil {
-				inj, ferr := fault.New(fault.Config{
-					Site:      fault.Site(req.Fault.Site),
-					Rate:      req.Fault.Rate,
-					Seed:      req.Fault.Seed,
-					MaxFaults: req.Fault.MaxFaults,
-				})
+				inj, ferr := fault.New(*req.Fault)
 				if ferr != nil {
 					return nil, ferr
 				}
