@@ -1,13 +1,12 @@
 // Package backoff is the repository's one retry-delay policy: capped
 // exponential growth with multiplicative jitter. Every layer that asks a
-// caller to come back later — the admission controller's Retry-After
-// header, the fabric coordinator re-queueing a cell whose lease was lost,
+// caller to come back later — the serving daemon's Retry-After headers,
 // the worker client backing off a flaky coordinator — derives its delay
 // here, so retries de-synchronize instead of thundering back in lockstep.
 //
 // Jitter draws from a caller-owned seeded generator, never the global
 // math/rand: the same seed replays the same delay schedule, which is what
-// lets the fabric's retry paths stay under the determinism lint and lets
+// lets the worker's retry path stay under the determinism lint and lets
 // tests assert exact schedules.
 package backoff
 

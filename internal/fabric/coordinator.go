@@ -316,13 +316,13 @@ func (c *Coordinator) Lease(req api.LeaseRequest) api.LeaseResponse {
 }
 
 // LeaseWait is Lease for an idle worker's call: when nothing is
-// grantable it holds the call until a cell is enqueued, the hold (a
-// quarter of the lease TTL) elapses or ctx ends, so a fresh cell reaches
-// a worker at once instead of at its next poll, and the worker asks
-// again as soon as a reply comes back empty. When the hold elapses Lease
-// runs once more, refreshing the worker's liveness, so a worker parked
-// here is never marked dead. A call that ctx releases returns without a
-// grant.
+// grantable it holds the call until a cell is enqueued or re-queued, the
+// hold (a quarter of the lease TTL) elapses or ctx ends, so a fresh or
+// lost cell reaches a worker at once instead of at its next poll, and
+// the worker asks again as soon as a reply comes back empty. When the
+// hold elapses Lease runs once more, refreshing the worker's liveness, so
+// a worker parked here is never marked dead. A call that ctx releases
+// returns without a grant.
 func (c *Coordinator) LeaseWait(ctx context.Context, req api.LeaseRequest) api.LeaseResponse {
 	hold := time.NewTimer(c.beat)
 	defer hold.Stop()

@@ -1,7 +1,7 @@
 // Package fabric is the fault-tolerant sharded sweep tier: a coordinator
 // that leases grid cells to pull-based worker daemons, re-queues work
-// lost to crashes or partitions with capped jittered backoff, degrades to
-// in-process execution when no workers are live, and journals run state
+// lost to crashes or partitions at once, degrades to in-process execution
+// when no workers are live, and journals run state
 // to a crash-safe write-ahead log so its own restarts resume instead of
 // forgetting. It applies the paper's check-&-recover discipline to the
 // harness itself: detect the fault (missed heartbeats, a worker asking

@@ -21,9 +21,8 @@ import (
 // restarted coordinator resume from its last completed cell.
 
 // retryAfter renders a jittered Retry-After header value from the shared
-// backoff helper. Jitter matters here for the same reason it does in the
-// fabric's lease re-queue: a fleet of workers told a bare "1" all come
-// back in the same second and collide again.
+// backoff helper: a fleet of workers told a bare "1" all come back in the
+// same second and collide again.
 func (s *Server) retryAfter(base time.Duration) string {
 	pol := backoff.Policy{Base: base, Cap: 2 * base, Factor: 1, Jitter: 0.5}
 	s.rngMu.Lock()
