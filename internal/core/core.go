@@ -134,11 +134,11 @@ type Core struct {
 	class       []isa.FUClass
 
 	// recs[i] is the functional record of the copy group whose primary
-	// occupies RUU slot i. Dispatch steps the front straight into it and
-	// every copy of the group points at it, so an instruction's record is
-	// written once however many copies carry it. It is the core's own
-	// copy, never the trace's: the Verify oracle checks each commit
-	// against the trace's record, which must not be the same memory.
+	// occupies RUU slot i. Dispatch steps the front straight into it (a
+	// replaying front rebuilds it there from the trace) and every copy of
+	// the group points at it, so an instruction's record is written once
+	// however many copies carry it. The Verify oracle rebuilds its own
+	// copy of each committed record, which must not be the same memory.
 	recs []fsim.Retired
 
 	// acted records that a stage changed pipeline state in the current

@@ -121,6 +121,17 @@ func TestRetiredSize(t *testing.T) {
 	}
 }
 
+// TestTraceEntrySize pins what a Trace stores per instruction: the
+// operand values and the result, 24 bytes. A grid holds one trace per
+// workload for its whole run, so each byte here is paid per traced
+// instruction; the budget is 32.
+func TestTraceEntrySize(t *testing.T) {
+	var tr Trace
+	if got := unsafe.Sizeof(tr.recs[0]); got != 24 {
+		t.Errorf("a trace stores %d bytes per instruction, want 24", got)
+	}
+}
+
 func TestRetiredRecordFields(t *testing.T) {
 	b := program.NewBuilder("rec")
 	addr := b.Word(5)

@@ -190,15 +190,15 @@ func ProgramFor(p workload.Profile, opts Options) (*program.Program, error) {
 }
 
 // TraceSlack is the extra margin CaptureTrace records beyond
-// FastForward+Insns. The dispatch front executes ahead of commit by up to
-// the in-flight window (RUU plus fetch queue), so a trace sized exactly to
-// the commit budget would force the last window of instructions back onto
-// the interpreter; the slack keeps the whole run on the replay fast path.
-// It is deliberately generous — far larger than any configured window —
-// because trace records are cheap (72 B) and correctness never depends on
-// it: a machine that outruns its trace falls back to interpretation with
-// bit-identical results.
-const TraceSlack = 4096
+// FastForward+Insns. The dispatch front steps the functional machine when
+// it dispatches, so it runs ahead of commit by at most the RUU's
+// capacity, and a trace sized exactly to the commit budget would force the
+// last window of instructions back onto the interpreter; the slack keeps
+// the whole run on the replay fast path. 512 is twice the largest RUU any
+// configuration here has (256 entries, the 2xRUU machines). Correctness
+// never depends on it: a machine that outruns its trace falls back to
+// interpretation with bit-identical results.
+const TraceSlack = 512
 
 // CaptureTrace functionally executes the exact program RunContext would
 // run for (p, opts) and records its retired stream. The returned trace is
@@ -410,19 +410,21 @@ func commitOracle(c *core.Core, opts Options, prog *program.Program, bench, conf
 		c.Abort(e)
 	}
 	if tr := opts.Trace; tr != nil && tr.Covers(opts.FastForward+opts.Insns) {
+		// The cursor rebuilds each expected record into the oracle's own
+		// want, never into the core's recs.
 		cur := tr.ReplayFrom(opts.FastForward)
+		var want fsim.Retired
 		return func(rec *fsim.Retired) {
 			if diverged {
 				return
 			}
-			want, ok := cur.Next()
-			if !ok {
+			if !cur.Next(&want) {
 				abort(&DivergenceError{Seq: rec.Seq,
 					OracleErr: fmt.Errorf("%w: trace of %q ended at seq %d", ErrTraceExhausted, prog.Name, rec.Seq)})
 				return
 			}
-			if !sameCommit(rec, want) {
-				abort(&DivergenceError{Seq: want.Seq, Got: *rec, Want: *want})
+			if !sameCommit(rec, &want) {
+				abort(&DivergenceError{Seq: want.Seq, Got: *rec, Want: want})
 			}
 		}, nil
 	}
