@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/irb"
 )
@@ -48,8 +49,11 @@ const (
 
 // quietWindow is how many opportunities of one kind a lane is advanced
 // past at once when it is armed: large enough that a quiet lane is probed
-// for real once in tens of thousands of opportunities, small enough that
-// the scan a lane draws ahead past the end of a run stays short.
+// for real once in tens of thousands of opportunities. Once the run has
+// committed instructions and has an instruction limit, a re-armed lane is
+// advanced no further than the opportunities the rest of the run is
+// expected to offer (see FUResult), so the scan it draws past the run's
+// end stays short however long the window.
 const quietWindow = 1 << 16
 
 // notDue marks a lane that is never probed again: fault-free or evicted.
@@ -86,10 +90,9 @@ const notDue = math.MaxUint64
 // its injector Reset first. Eviction is how per-lane early-exit works: a
 // diverging lane retires from the batch without stalling its siblings. A
 // lane whose injector never fires is served the leader's results and
-// statistics, bit for bit. Its injector may have drawn up to a quiet
-// window past the run's last opportunity, so unlike a scalar run's
-// injector it must be Reset before it steers another run (the runner
-// resets before every attempt).
+// statistics, bit for bit. Its injector may have drawn past the run's
+// last opportunity, so unlike a scalar run's injector it must be Reset
+// before it steers another run (the runner resets before every attempt).
 //
 // The last lane rides the leader. Once a single injector lane is left and
 // no fault-free lane needs the clean trajectory, nothing else consumes the
@@ -226,12 +229,25 @@ func (b *BatchSim) evict(i int, seq uint64) {
 // and otherwise it is re-armed past the quiet opportunities that follow.
 // The riding lane's result is the leader's: its strikes are applied.
 //
+// A lane is re-armed for quietWindow opportunities, or for fewer when the
+// run is nearly done: the n opportunities seen so far, per instruction
+// committed, times the instructions left to MaxInsns, plus a quarter and
+// 1024 to spare. The window only bounds a scan (a lane that reaches it is
+// probed and re-armed), so any estimate leaves every result unchanged.
+//
 //lint:hotpath
 func (b *BatchSim) FUResult(seq, pc uint64, dup bool, sig uint64) uint64 {
 	n := b.seen[oppFU]
 	b.seen[oppFU]++
 	if n < b.next[oppFU] {
 		return sig
+	}
+	w := uint64(quietWindow)
+	if done, limit := b.c.Stats.Committed, b.c.cfg.MaxInsns; done > 0 && limit >= done {
+		if hi, lo := bits.Mul64(n, limit-done); hi == 0 {
+			est := min(lo/done, quietWindow)
+			w = min(w, est+est/4+1024)
+		}
 	}
 	out := sig
 	next := uint64(notDue)
@@ -245,7 +261,7 @@ func (b *BatchSim) FUResult(seq, pc uint64, dup bool, sig uint64) uint64 {
 				b.evict(i, seq)
 				continue
 			}
-			d = n + 1 + inj.QuietFU(quietWindow)
+			d = n + 1 + inj.QuietFU(w)
 			b.due[oppFU][i] = d
 		}
 		next = min(next, d)
@@ -263,6 +279,13 @@ func (b *BatchSim) Operand(seq, pc uint64, dup bool, which int, val uint64) uint
 	if n < b.next[oppOperand] {
 		return val
 	}
+	w := uint64(quietWindow)
+	if done, limit := b.c.Stats.Committed, b.c.cfg.MaxInsns; done > 0 && limit >= done {
+		if hi, lo := bits.Mul64(n, limit-done); hi == 0 {
+			est := min(lo/done, quietWindow)
+			w = min(w, est+est/4+1024)
+		}
+	}
 	out := val
 	next := uint64(notDue)
 	for i, d := range b.due[oppOperand] {
@@ -275,7 +298,7 @@ func (b *BatchSim) Operand(seq, pc uint64, dup bool, which int, val uint64) uint
 				b.evict(i, seq)
 				continue
 			}
-			d = n + 1 + inj.QuietOperand(quietWindow)
+			d = n + 1 + inj.QuietOperand(w)
 			b.due[oppOperand][i] = d
 		}
 		next = min(next, d)
@@ -297,6 +320,13 @@ func (b *BatchSim) AfterIRBInsert(pc uint64, live *irb.IRB) {
 	if n < b.next[oppIRBInsert] {
 		return
 	}
+	w := uint64(quietWindow)
+	if done, limit := b.c.Stats.Committed, b.c.cfg.MaxInsns; done > 0 && limit >= done {
+		if hi, lo := bits.Mul64(n, limit-done); hi == 0 {
+			est := min(lo/done, quietWindow)
+			w = min(w, est+est/4+1024)
+		}
+	}
 	next := uint64(notDue)
 	for i, d := range b.due[oppIRBInsert] {
 		if d == n {
@@ -310,7 +340,7 @@ func (b *BatchSim) AfterIRBInsert(pc uint64, live *irb.IRB) {
 					continue
 				}
 			}
-			d = n + 1 + inj.QuietIRBInsert(quietWindow)
+			d = n + 1 + inj.QuietIRBInsert(w)
 			b.due[oppIRBInsert][i] = d
 		}
 		next = min(next, d)
