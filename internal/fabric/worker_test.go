@@ -90,6 +90,12 @@ func simExec(ctx context.Context, jobs []runner.Job) []runner.Outcome {
 // bit-identical to the direct in-process run; the killed worker's lease
 // must expire and retry (visible in the metrics); and no retry may
 // diverge.
+//
+// The clock is frozen and the test runs the one sweep that matters
+// itself, once the clock has moved past the victim's death and the
+// survivor has been heard from since. A background sweeper on the wall
+// clock would declare the survivor dead too whenever the race detector or
+// the chaos transport kept it silent for three heartbeats.
 func TestWorkerFleetChaosE2E(t *testing.T) {
 	jobs := []runner.Job{
 		testJob(t, "cell-a", 3000),
@@ -105,10 +111,10 @@ func TestWorkerFleetChaosE2E(t *testing.T) {
 		}
 	}
 
-	c := NewCoordinator(400 * time.Millisecond) // a worker silent for 300 ms is dead
+	fc := freezeClock(t)
+	c := NewCoordinator(400 * time.Millisecond) // workers heartbeat every 100 ms
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	c.Start(ctx)
 	srv := serveCoordinator(t, c)
 
 	// Victim worker: leases one cell, then hangs until killed.
@@ -155,6 +161,18 @@ func TestWorkerFleetChaosE2E(t *testing.T) {
 		Exec:   simExec,
 	}
 	go survivor.Run(ctx)
+
+	// The victim dies by silence: past three heartbeats with no word
+	// from it, while the survivor has spoken at the new time, the sweep
+	// takes the victim's cell back for the survivor.
+	fc.advance(deadBeats*c.beat + time.Millisecond)
+	waitFor(t, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		w := c.workers["survivor"]
+		return w != nil && w.lastSeen.Equal(fc.now())
+	})
+	c.Tick()
 
 	var outs []runner.Outcome
 	select {
