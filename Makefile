@@ -41,13 +41,16 @@ bench:
 
 # Native fuzz targets with a CI-length budget each; the committed seed
 # corpus under testdata/fuzz/ replays as plain tests in `make test`.
+# Minimizing a new input is capped at 2 s: at the default 60 s a target
+# can spend most of its 20 s minimizing instead of executing.
 fuzz:
-	$(GO) test -fuzz=FuzzProgramDecode -fuzztime=20s -run '^$$' ./internal/program
-	$(GO) test -fuzz=FuzzIRBLookup -fuzztime=20s -run '^$$' ./internal/irb
-	$(GO) test -fuzz=FuzzTRBLookup -fuzztime=20s -run '^$$' ./internal/trb
-	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=20s -run '^$$' ./internal/fabric
-	$(GO) test -fuzz=FuzzLeaseProtocol -fuzztime=20s -run '^$$' ./internal/fabric
-	$(GO) test -fuzz=FuzzQuietMatchesProbing -fuzztime=20s -run '^$$' ./internal/fault
+	$(GO) test -fuzz=FuzzProgramDecode -fuzztime=20s -fuzzminimizetime=2s -run '^$$' ./internal/program
+	$(GO) test -fuzz=FuzzIRBLookup -fuzztime=20s -fuzzminimizetime=2s -run '^$$' ./internal/irb
+	$(GO) test -fuzz=FuzzTRBLookup -fuzztime=20s -fuzzminimizetime=2s -run '^$$' ./internal/trb
+	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=20s -fuzzminimizetime=2s -run '^$$' ./internal/fabric
+	$(GO) test -fuzz=FuzzLeaseProtocol -fuzztime=20s -fuzzminimizetime=2s -run '^$$' ./internal/fabric
+	$(GO) test -fuzz=FuzzQuietMatchesProbing -fuzztime=20s -fuzzminimizetime=2s -run '^$$' ./internal/fault
+	$(GO) test -fuzz=FuzzTraceReplay -fuzztime=20s -fuzzminimizetime=2s -run '^$$' ./internal/fsim
 
 # Run the serving daemon (README "Serving" section for the API).
 serve:
