@@ -56,8 +56,8 @@ fuzz:
 serve:
 	$(GO) run ./cmd/simserved
 
-# Regenerate every experiment at full scale (about 185 s at the default
-# -j 2 on a 2-vCPU Intel Xeon VM; 158-188 s over three runs).
+# Regenerate every experiment at full scale (about 95 s at the default
+# -j 2 on a 2-vCPU Intel Xeon VM; 92-103 s over three runs).
 sweep:
 	$(GO) run ./cmd/sweep -exp all -insns 300000 | tee sweep_output.txt
 

@@ -188,7 +188,9 @@ func BenchmarkAblationFwd(b *testing.B) {
 // single-CPU machine the two are equivalent by construction.
 func BenchmarkGridSerial(b *testing.B) {
 	opts := benchOpts()
-	opts.Parallelism = 1
+	opts.Exec = func(jobs []runner.Job) ([]runner.Outcome, error) {
+		return runner.Run(context.Background(), jobs, runner.Options{Parallelism: 1})
+	}
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := experiments.Headline(opts); err != nil {
 			b.Fatal(err)
@@ -197,7 +199,7 @@ func BenchmarkGridSerial(b *testing.B) {
 }
 
 func BenchmarkGridParallel(b *testing.B) {
-	opts := benchOpts() // Parallelism 0 = GOMAXPROCS workers
+	opts := benchOpts() // nil Exec: runner defaults, GOMAXPROCS workers
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := experiments.Headline(opts); err != nil {
 			b.Fatal(err)

@@ -2,7 +2,8 @@
 // reproduction's ablations) over the 12 SPEC2000-like workloads. The
 // grid cells of each experiment run in parallel across -j workers
 // (default GOMAXPROCS); -j 1 reproduces the old serial sweep exactly,
-// and Ctrl-C cancels a sweep mid-grid.
+// and Ctrl-C cancels a sweep mid-grid. A cell that an earlier experiment
+// of the same invocation already ran is served from memory, not re-run.
 //
 // Usage:
 //
@@ -36,6 +37,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"sync"
 	"time"
 
 	"repro/internal/cliutil"
@@ -59,10 +61,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := gridOpts()
-	opts.Context = ctx
+	opts, ropts := gridOpts()
 	if *progress {
-		opts.Progress = func(p runner.Progress) {
+		ropts.Progress = func(p runner.Progress) {
 			fmt.Fprintf(os.Stderr, "\r%4d/%d cells  %-40s eta %-10s",
 				p.Done, p.Total, p.Bench+"/"+p.Config, p.ETA.Round(time.Second))
 			if p.Done == p.Total {
@@ -70,6 +71,7 @@ func main() {
 			}
 		}
 	}
+	opts.Exec = sweepExec(ctx, ropts)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -107,24 +109,53 @@ func main() {
 
 // experimentFlags registers the grid flags on fs: by default a grid runs
 // sim.DefaultInsns instructions on all 12 benchmarks. The returned
-// function translates the parsed flags into experiment options; main adds
-// the Context and Progress knobs.
-func experimentFlags(fs *flag.FlagSet) func() experiments.Options {
+// function splits the parsed flags into what to simulate and how the
+// runner runs it; main adds the Progress hook.
+func experimentFlags(fs *flag.FlagSet) func() (experiments.Options, runner.Options) {
 	insns := cliutil.Insns(fs, sim.DefaultInsns)
 	bench := cliutil.Bench(fs, "", "comma-separated benchmark subset (default all 12)")
 	verify := cliutil.Verify(fs)
 	jobs := cliutil.Jobs(fs)
 	cellTimeout := fs.Duration("cell-timeout", 0,
 		"per-cell wall-clock bound with one retry (0 = unbounded); a timed-out cell fails alone")
-	return func() experiments.Options {
-		return experiments.Options{
-			Insns:       *insns,
-			Verify:      *verify,
-			Benchmarks:  cliutil.SplitBenchmarks(*bench),
-			Parallelism: *jobs,
-			CellTimeout: *cellTimeout,
+	return func() (experiments.Options, runner.Options) {
+		opts := experiments.Options{
+			Insns:      *insns,
+			Verify:     *verify,
+			Benchmarks: cliutil.SplitBenchmarks(*bench),
 		}
+		return opts, runner.Options{Parallelism: *jobs, CellTimeout: *cellTimeout}
 	}
+}
+
+// sweepExec runs each experiment's cells through runner.Run under ctx and
+// ropts, with one result cache for the whole invocation: a cell that an
+// earlier experiment already ran (same fingerprint) is served from it.
+func sweepExec(ctx context.Context, ropts runner.Options) func([]runner.Job) ([]runner.Outcome, error) {
+	ropts.Cache = &memCache{m: make(map[string]sim.Result)}
+	return func(jobs []runner.Job) ([]runner.Outcome, error) {
+		return runner.Run(ctx, jobs, ropts)
+	}
+}
+
+// memCache is an unbounded in-memory runner.Cache. A sweep holds one
+// result per distinct cell it runs.
+type memCache struct {
+	mu sync.Mutex
+	m  map[string]sim.Result
+}
+
+func (c *memCache) Get(key string) (sim.Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.m[key]
+	return r, ok
+}
+
+func (c *memCache) Put(key string, res sim.Result) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[key] = res
 }
 
 func run(exp string, opts experiments.Options, format string) error {

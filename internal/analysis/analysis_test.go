@@ -3,6 +3,7 @@ package analysis
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -119,23 +120,12 @@ func TestCFGCallReturnEdges(t *testing.T) {
 	}
 }
 
-func TestLivenessAndDefUse(t *testing.T) {
+func TestLiveness(t *testing.T) {
 	p := nestedLoopProgram(t)
 	g := BuildCFG(p)
 	lv := ComputeLiveness(g)
 	if el := lv.EntryLive(); el != 0 {
 		t.Errorf("entry-live = %v, want empty", el.regs())
-	}
-	du := ComputeDefUse(g)
-	// r3: defined at 1 (init) and 3 (increment), used at 3.
-	if got := du.Defs[3]; len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("defs[r3] = %v, want [1 3]", got)
-	}
-	if got := du.Uses[3]; len(got) != 1 || got[0] != 3 {
-		t.Errorf("uses[r3] = %v, want [3]", got)
-	}
-	if got := du.Uses[0]; len(got) != 0 {
-		t.Errorf("uses[r0] = %v, want none (hardwired zero excluded)", got)
 	}
 }
 
@@ -171,6 +161,40 @@ func TestDiagReadBeforeWrite(t *testing.T) {
 	r := Analyze(p)
 	if r.Diags[0].PC != 0 {
 		t.Errorf("diag pc = %d, want 0", r.Diags[0].PC)
+	}
+}
+
+// TestDiagReadBeforeWriteMessages pins which message a read-before-write
+// finding carries: a register no reachable instruction writes is "never
+// written anywhere", even when unreachable code writes it; one written
+// later "can be read before its first write".
+func TestDiagReadBeforeWriteMessages(t *testing.T) {
+	b := program.NewBuilder("rbw-messages")
+	b.EmitOp(isa.OpAdd, 1, 2, isa.ZeroReg)   // pc 0: r2 never written
+	b.EmitOp(isa.OpAdd, 4, 3, isa.ZeroReg)   // pc 1: r3 written at pc 2
+	b.EmitImm(isa.OpAddi, 3, isa.ZeroReg, 1) // pc 2
+	b.EmitOp(isa.OpAdd, 6, 5, isa.ZeroReg)   // pc 3: r5 written only at pc 5
+	b.Jump("end")                            // pc 4
+	b.EmitImm(isa.OpAddi, 5, isa.ZeroReg, 1) // pc 5: unreachable
+	b.Label("end")
+	b.Emit(isa.Instr{Op: isa.OpHalt})
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]string{
+		0: fmt.Sprintf("%s is read but never written anywhere in the program", isa.Reg(2)),
+		1: fmt.Sprintf("%s can be read before its first write", isa.Reg(3)),
+		3: fmt.Sprintf("%s is read but never written anywhere in the program", isa.Reg(5)),
+	}
+	got := map[int64]string{}
+	for _, d := range Analyze(p).Diags {
+		if d.Kind == KindReadBeforeWrite {
+			got[d.PC] = d.Detail
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("read-before-write findings by pc:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -65,7 +65,6 @@ type Report struct {
 	Prog       *program.Program
 	CFG        *CFG
 	Liveness   *Liveness
-	DefUse     *DefUse
 	Diags      []Diagnostic
 	Prediction Prediction
 }
@@ -93,7 +92,6 @@ func diagnose(p *program.Program) *Report {
 		Prog:     p,
 		CFG:      g,
 		Liveness: lv,
-		DefUse:   ComputeDefUse(g),
 	}
 	r.checkReadBeforeWrite()
 	r.checkUnreachable()
@@ -135,12 +133,18 @@ func (r *Report) addDiag(kind Kind, pc int64, format string, args ...any) {
 }
 
 func (r *Report) checkReadBeforeWrite() {
+	var written regSet // registers some reachable instruction writes
+	for _, b := range r.CFG.Blocks {
+		if b.Reachable {
+			written |= r.Liveness.kill[b.ID]
+		}
+	}
 	for _, reg := range r.Liveness.EntryLive().regs() {
 		pc, ok := r.Liveness.firstExposedUse(reg)
 		if !ok {
 			continue
 		}
-		if len(r.DefUse.Defs[reg]) == 0 {
+		if !written.has(reg) {
 			r.addDiag(KindReadBeforeWrite, int64(pc),
 				"%s is read but never written anywhere in the program", reg)
 		} else {

@@ -130,31 +130,3 @@ func (lv *Liveness) firstExposedUse(r isa.Reg) (uint64, bool) {
 	}
 	return 0, false
 }
-
-// DefUse is the whole-program def-use index: for every register, the
-// instruction indices that write it and those that read it, in reachable
-// code.
-type DefUse struct {
-	Defs [isa.NumRegs][]uint64
-	Uses [isa.NumRegs][]uint64
-}
-
-// ComputeDefUse builds the def-use index over the CFG's reachable blocks.
-func ComputeDefUse(g *CFG) *DefUse {
-	du := &DefUse{}
-	for _, b := range g.Blocks {
-		if !b.Reachable {
-			continue
-		}
-		for pc := b.Start; pc < b.End; pc++ {
-			in := g.Prog.Code[pc]
-			for _, r := range uses(in).regs() {
-				du.Uses[r] = append(du.Uses[r], pc)
-			}
-			for _, r := range defs(in).regs() {
-				du.Defs[r] = append(du.Defs[r], pc)
-			}
-		}
-	}
-	return du
-}

@@ -183,12 +183,6 @@ type Config struct {
 	// the IRB's write ports like any others.
 	IRBSquashReuse bool
 
-	// FaultRetryLimit bounds consecutive commit-check failures at one
-	// static PC before the core aborts with an UnrecoverableFaultError
-	// (0 = DefaultFaultRetryLimit). Only meaningful with a fault injector
-	// attached.
-	FaultRetryLimit int
-
 	// ReplayEpoch is REPLAY mode's checkpoint interval: committed
 	// instructions per replayed epoch (0 = DefaultReplayEpoch). The
 	// json tag keeps the zero value out of runner fingerprints, so
@@ -368,9 +362,6 @@ func (c Config) Validate() error {
 	}
 	if c.Clustered && c.Streams() != 2 {
 		return fmt.Errorf("core: Clustered requires a dual execution mode")
-	}
-	if c.FaultRetryLimit < 0 {
-		return fmt.Errorf("core: FaultRetryLimit = %d, want >= 0", c.FaultRetryLimit)
 	}
 	if err := c.Bpred.Validate(); err != nil {
 		return err

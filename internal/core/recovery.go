@@ -16,10 +16,10 @@ const DefaultFaultRetryLimit = 8
 
 // UnrecoverableFaultError reports that the bounded retry budget for one
 // static PC was exhausted: the commit-time check kept failing across
-// FaultRetryLimit consecutive re-executions, so the fault is persistent and
-// instruction-level temporal redundancy cannot mask it. The simulation
-// driver surfaces it through sim.RunContext; campaign harnesses treat it as
-// a per-cell outcome, not a crash.
+// DefaultFaultRetryLimit consecutive re-executions, so the fault is
+// persistent and instruction-level temporal redundancy cannot mask it. The
+// simulation driver surfaces it through sim.RunContext; campaign harnesses
+// treat it as a per-cell outcome, not a crash.
 type UnrecoverableFaultError struct {
 	Bench   string // workload name (filled in by the sim driver)
 	Config  string // configuration display name (filled in by the sim driver)
@@ -52,8 +52,8 @@ func (e *UnrecoverableFaultError) Error() string {
 // whose wrong value was supplied by an IRB reuse hit invalidates that IRB
 // entry (scrubbing): re-execution would otherwise hit the same corrupted
 // entry again, deterministically, on every retry. And consecutive
-// recoveries at one static PC are bounded by FaultRetryLimit; exhausting
-// the budget aborts the run with an UnrecoverableFaultError.
+// recoveries at one static PC are bounded by DefaultFaultRetryLimit;
+// exhausting the budget aborts the run with an UnrecoverableFaultError.
 func (c *Core) recoverFault(head, dupU *uop) {
 	pc := head.rec.PC
 	trueSig := outSignature(head.rec, head.rec.Src1, head.rec.Src2)
@@ -81,12 +81,8 @@ func (c *Core) recoverFault(head, dupU *uop) {
 		c.faultRetries = make(map[uint64]uint32)
 	}
 	retries := c.faultRetries[pc] + 1
-	limit := c.cfg.FaultRetryLimit
-	if limit == 0 {
-		limit = DefaultFaultRetryLimit
-	}
-	if int(retries) > limit {
-		c.Abort(&UnrecoverableFaultError{PC: pc, Seq: head.rec.Seq, Retries: limit, Cycle: c.cycle})
+	if retries > DefaultFaultRetryLimit {
+		c.Abort(&UnrecoverableFaultError{PC: pc, Seq: head.rec.Seq, Retries: DefaultFaultRetryLimit, Cycle: c.cycle})
 		return
 	}
 	c.faultRetries[pc] = retries

@@ -202,29 +202,6 @@ func TestPersistentFaultEscalates(t *testing.T) {
 	}
 }
 
-// TestFaultRetryLimitConfigurable: a smaller budget escalates sooner.
-func TestFaultRetryLimitConfigurable(t *testing.T) {
-	prog := loopProgram(300)
-	pc := findPC(t, prog, isa.OpAdd, 2)
-	cfg := quicken(BaseDIE())
-	cfg.FaultRetryLimit = 2
-	c, err := New(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetInjector(&fault.Persistent{Site: fault.FU, PC: pc, Bit: 7})
-	var uf *UnrecoverableFaultError
-	if runErr := c.Run(); !errors.As(runErr, &uf) {
-		t.Fatalf("Run() = %v, want *UnrecoverableFaultError", runErr)
-	}
-	if uf.Retries != 2 {
-		t.Errorf("Retries = %d, want 2", uf.Retries)
-	}
-	if cfg.FaultRetryLimit = -1; cfg.Validate() == nil {
-		t.Error("negative FaultRetryLimit accepted")
-	}
-}
-
 // TestRecoveryDeterministic: identical injected runs produce identical
 // statistics, the property the campaign determinism tests build on.
 func TestRecoveryDeterministic(t *testing.T) {

@@ -9,10 +9,8 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -23,7 +21,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Options configure an experiment run.
+// Options say what an experiment simulates.
 type Options struct {
 	// Insns is the per-run instruction budget (sim.DefaultInsns if 0).
 	Insns uint64
@@ -31,43 +29,25 @@ type Options struct {
 	Verify bool
 	// Benchmarks restricts the workload set (nil = all 12).
 	Benchmarks []string
-	// Parallelism is the worker count handed to the grid runner
-	// (0 = runtime.GOMAXPROCS(0), 1 = the old serial double loop).
-	Parallelism int
-	// Progress, when non-nil, observes every completed grid cell.
-	Progress func(runner.Progress)
-	// Context, when non-nil, cancels a sweep mid-grid; the experiment
-	// returns the context's error with whatever cells completed.
-	Context context.Context
-	// CellTimeout bounds each grid cell's wall-clock time (0 = unbounded);
-	// see runner.Options.CellTimeout. A hung cell times out (after one
-	// retry) with a per-cell error instead of stalling the whole sweep.
-	CellTimeout time.Duration
-	// Cache, when non-nil, is handed to the grid runner so previously
-	// simulated cells are served from the content-addressed result store
-	// instead of being re-run; see runner.Options.Cache. The serving
-	// daemon shares one cache across every experiment and run request.
-	Cache runner.Cache
+	// Exec runs an experiment's cells: one outcome per job, in job order,
+	// and the per-cell errors joined as runner.Run joins them. Nil runs
+	// them through runner.Run with default options. Callers plug their
+	// run path in here: cmd/sweep its worker count, progress, Ctrl-C and
+	// one result cache for every experiment of a sweep; the serving
+	// daemon its cache, journal and worker fleet.
+	Exec func([]runner.Job) ([]runner.Outcome, error)
 }
 
 func (o Options) simOpts() sim.Options {
 	return sim.Options{Insns: o.Insns, Verify: o.Verify}
 }
 
-func (o Options) ctx() context.Context {
-	if o.Context != nil {
-		return o.Context
+// run executes jobs through Exec.
+func (o Options) run(jobs []runner.Job) ([]runner.Outcome, error) {
+	if o.Exec != nil {
+		return o.Exec(jobs)
 	}
-	return context.Background()
-}
-
-func (o Options) runnerOpts() runner.Options {
-	return runner.Options{
-		Parallelism: o.Parallelism,
-		Progress:    o.Progress,
-		CellTimeout: o.CellTimeout,
-		Cache:       o.Cache,
-	}
+	return runner.Run(context.Background(), jobs, runner.Options{})
 }
 
 // Grid holds one experiment's results: a matrix of runs indexed by
@@ -80,20 +60,6 @@ type Grid struct {
 	// (nil on success). One failed cell no longer aborts a sweep: the
 	// other cells still run and the failures are reported together.
 	Errs [][]error
-}
-
-// Err joins every recorded per-cell error, labelled by cell, or returns
-// nil when the whole grid succeeded.
-func (g *Grid) Err() error {
-	var errs []error
-	for b, row := range g.Errs {
-		for c, err := range row {
-			if err != nil {
-				errs = append(errs, fmt.Errorf("%s on %s: %w", g.Benchmarks[b], g.Configs[c], err))
-			}
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // IPC returns the IPC of (bench, config) by index.
@@ -124,7 +90,7 @@ func runGrid(cfgs []sim.NamedConfig, opts Options) (*Grid, error) {
 // per-cell failure (and the context error, on cancellation) while the
 // grid keeps whatever completed.
 func runGridProfiles(cfgs []sim.NamedConfig, profiles []workload.Profile, opts Options) (*Grid, error) {
-	outs, err := runner.Run(opts.ctx(), gridJobs(cfgs, profiles, opts), opts.runnerOpts())
+	outs, err := opts.run(gridJobs(cfgs, profiles, opts))
 	return newGrid(cfgs, profiles, outs), err
 }
 
@@ -511,7 +477,7 @@ func runCampaigns(cfgs []sim.NamedConfig, cs []campaign, opts Options) (g *Grid,
 			})
 		}
 	}
-	outs, err := runner.Run(opts.ctx(), jobs, opts.runnerOpts())
+	outs, err := opts.run(jobs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -679,16 +645,29 @@ func Cluster(opts Options) (*Grid, *stats.Table, error) {
 // original DIE proposal (Ray, Hoe & Falsafi [24], evaluated on a mix of
 // SPEC95 and SPEC2000 programs): substantial average IPC loss for DIE vs
 // SIE with a worst case approaching 45%. It runs both suites combined —
-// the SPEC95 profiles are otherwise untouched by the other experiments.
+// the SPEC95 profiles are otherwise untouched by the other experiments —
+// or, when Options.Benchmarks names a subset, the named profiles of
+// either suite.
 func Prior24(opts Options) (*Grid, *stats.Table, error) {
+	profiles := append(workload.SPEC95(), workload.SPEC2000()...)
 	if len(opts.Benchmarks) > 0 {
-		return nil, nil, fmt.Errorf("experiments: prior24 always runs the combined suites")
+		profiles = nil
+		for _, name := range opts.Benchmarks {
+			p, ok := workload.ByName(name)
+			if !ok {
+				p, ok = workload.ByName95(name)
+			}
+			if !ok {
+				return nil, nil, fmt.Errorf("experiments: unknown benchmark %q (want a SPEC2000 or SPEC95 profile name)", name)
+			}
+			profiles = append(profiles, p)
+		}
 	}
 	cfgs := []sim.NamedConfig{
 		{Name: "SIE", Cfg: core.BaseSIE()},
 		{Name: "DIE", Cfg: core.BaseDIE()},
 	}
-	g, err := runGridProfiles(cfgs, append(workload.SPEC95(), workload.SPEC2000()...), opts)
+	g, err := runGridProfiles(cfgs, profiles, opts)
 	if err != nil {
 		return g, nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -398,8 +399,22 @@ func TestPrior24Claim(t *testing.T) {
 	if !strings.Contains(tbl.String(), "WORST") {
 		t.Error("table missing worst row")
 	}
-	if _, _, err := Prior24(Options{Benchmarks: []string{"gzip"}}); err == nil {
-		t.Error("prior24 accepted a benchmark subset")
+
+	// A subset runs the named profiles of either suite, in the order
+	// named; a name in neither is an error.
+	g, tbl, err = Prior24(Options{Insns: 2000, Benchmarks: []string{"gzip", "go95"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.Benchmarks, []string{"gzip", "go95"}) {
+		t.Errorf("subset benchmarks = %v, want [gzip go95]", g.Benchmarks)
+	}
+	if !strings.Contains(tbl.String(), "gzip") {
+		t.Errorf("subset table has no gzip row:\n%s", tbl)
+	}
+	if _, _, err := Prior24(Options{Insns: 2000, Benchmarks: []string{"gzip", "doom"}}); err == nil ||
+		!strings.Contains(err.Error(), "doom") {
+		t.Errorf("prior24 with an unknown benchmark: err = %v, want one naming it", err)
 	}
 }
 

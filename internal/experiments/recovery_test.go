@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
@@ -29,8 +31,8 @@ func TestFaultsDeterministic(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"serial", func() Options { o := faultQuickOpts(); o.Parallelism = 1; return o }()},
-		{"parallel-8", func() Options { o := faultQuickOpts(); o.Parallelism = 8; return o }()},
+		{"serial", withRunner(context.Background(), faultQuickOpts(), runner.Options{Parallelism: 1})},
+		{"parallel-8", withRunner(context.Background(), faultQuickOpts(), runner.Options{Parallelism: 8})},
 	}
 	var ref []FaultRow
 	for _, v := range variants {
@@ -137,8 +139,7 @@ func TestCampaignTablesFromCache(t *testing.T) {
 	for _, name := range names {
 		want[name] = render(name, opts)
 	}
-	cached := opts
-	cached.Cache = &mapCache{m: map[string]sim.Result{}}
+	cached := withRunner(context.Background(), opts, runner.Options{Cache: &mapCache{m: map[string]sim.Result{}}})
 	for pass := 1; pass <= 2; pass++ {
 		for _, name := range names {
 			if got := render(name, cached); got != want[name] {

@@ -580,6 +580,49 @@ func TestCoordinatorModeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCoordinatorExperimentOnWorker: a named experiment asked of a
+// coordinator takes a run's path. Its cells execute on the pulled worker,
+// /metrics counts them, and the table equals a standalone daemon's.
+func TestCoordinatorExperimentOnWorker(t *testing.T) {
+	const path = "/v1/experiments/headline?insns=5000&bench=gzip,mcf"
+	_, alone := newTestServer(t, Config{})
+	code, want := get(t, alone.URL+path)
+	if code != http.StatusOK {
+		t.Fatalf("standalone GET %s: code %d: %s", path, code, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	coord := fabric.NewCoordinator(2 * time.Second)
+	coord.Start(ctx)
+	_, ts := newTestServer(t, Config{Workers: 1, Coordinator: coord})
+	worker := &fabric.Worker{Client: &fabric.Client{BaseURL: ts.URL}, ID: "w1"}
+	worker.Exec = New(Config{Workers: 1, FabricWorker: worker}).RunJobs
+	go worker.Run(ctx)
+	waitForCond(t, func() bool { return coord.Metrics().WorkersLive >= 1 })
+
+	code, got := get(t, ts.URL+path)
+	if code != http.StatusOK {
+		t.Fatalf("coordinator GET %s: code %d: %s", path, code, got)
+	}
+	if got != want {
+		t.Errorf("coordinator table differs from the standalone one\n got:\n%s\nwant:\n%s", got, want)
+	}
+	// Headline is 4 configurations on 2 benchmarks.
+	if m := coord.Metrics(); m.CellsCompleted != 8 || m.CellsLocal != 0 {
+		t.Errorf("experiment cells did not all execute on the worker: %+v", m)
+	}
+	_, metrics := get(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`simserved_cells_total{source="simulated"} 8`,
+		`simserved_runs_total{status="done"} 1`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
 // TestCoordinatorRunsOnParallelismWorkers: a coordinator-mode run hands
 // the runner the daemon's Parallelism, not one worker per cell, so the
 // cells a worker-less fleet hands back never all simulate at once.

@@ -297,7 +297,6 @@ func (s *Server) performRun(ctx context.Context, runID string, jobs []runner.Job
 	outs, runErr := s.executeGrid(ctx, jobs, runID, keys)
 
 	results := make([]CellResult, len(outs))
-	simCells, hitCells := 0, 0
 	for i, o := range outs {
 		cr := CellResult{
 			Bench:    o.Job.Profile.Name,
@@ -308,14 +307,10 @@ func (s *Server) performRun(ctx context.Context, runID string, jobs []runner.Job
 			cr.Error = o.Err.Error()
 		} else {
 			cr.Result = s.cache.shared(keys[i], o.Result)
-			if o.CacheHit {
-				hitCells++
-			} else {
-				simCells++
-			}
 		}
 		results[i] = cr
 	}
+	simCells, hitCells := cellCounts(outs)
 
 	status := StatusDone
 	errMsg := ""
@@ -330,6 +325,21 @@ func (s *Server) performRun(ctx context.Context, runID string, jobs []runner.Job
 	s.journalAppend(fabric.Record{Type: fabric.RecFinish, RunID: runID, Status: status, Err: errMsg})
 	s.publishEvent(runID, api.CellEvent{Index: -1, Done: true, Status: status})
 	return status
+}
+
+// cellCounts counts the successful cells of outs that were simulated and
+// those served from the result cache.
+func cellCounts(outs []runner.Outcome) (simCells, hitCells int) {
+	for _, o := range outs {
+		switch {
+		case o.Err != nil:
+		case o.CacheHit:
+			hitCells++
+		default:
+			simCells++
+		}
+	}
+	return simCells, hitCells
 }
 
 // executeGrid hands the grid to the runner with the server's cache
@@ -394,10 +404,11 @@ func (s *Server) handleModes(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleExperiment runs a named paper experiment under the same
-// admission control as ad-hoc runs, sharing the daemon's result cache so
-// an experiment re-requested with the same knobs replays from memory.
-// Query parameters: insns, bench (comma-separated), verify, format
-// (table, csv or json).
+// admission control as ad-hoc runs, and its cells through the same
+// executeGrid: the result cache serves an experiment re-requested with
+// the same knobs from memory, a journal records its cells, a coordinator
+// ships them to its workers, and /metrics counts them. Query parameters:
+// insns, bench (comma-separated), verify, format (table, csv or json).
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	named, ok := experiments.ByName(r.PathValue("name"))
 	if !ok {
@@ -415,13 +426,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		format = "table"
 	}
 	opts := experiments.Options{
-		Context:     r.Context(),
-		Insns:       s.cfg.DefaultInsns,
-		Verify:      s.cfg.Verify || q.Get("verify") == "true",
-		Benchmarks:  cliutil.SplitBenchmarks(q.Get("bench")),
-		Parallelism: s.cfg.Parallelism,
-		CellTimeout: s.cfg.CellTimeout,
-		Cache:       s.cache,
+		Insns:      s.cfg.DefaultInsns,
+		Verify:     s.cfg.Verify || q.Get("verify") == "true",
+		Benchmarks: cliutil.SplitBenchmarks(q.Get("bench")),
 	}
 	if v := q.Get("insns"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
@@ -461,18 +468,27 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.slots }()
 
+	// The experiment's cells take a run's path: the result cache, the
+	// journal and, under a coordinator, the worker fleet.
+	var simCells, hitCells int
+	opts.Exec = func(jobs []runner.Job) ([]runner.Outcome, error) {
+		outs, err := s.executeGrid(r.Context(), jobs, "", nil)
+		n, hits := cellCounts(outs)
+		simCells, hitCells = simCells+n, hitCells+hits
+		return outs, err
+	}
 	start := now()
 	tbl, err := named.Run(opts)
 	switch {
 	case r.Context().Err() != nil:
-		s.met.observeRun(StatusCancelled, 0, 0, now().Sub(start))
+		s.met.observeRun(StatusCancelled, simCells, hitCells, now().Sub(start))
 		return
 	case err != nil:
-		s.met.observeRun(StatusFailed, 0, 0, now().Sub(start))
+		s.met.observeRun(StatusFailed, simCells, hitCells, now().Sub(start))
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.met.observeRun(StatusDone, 0, 0, now().Sub(start))
+	s.met.observeRun(StatusDone, simCells, hitCells, now().Sub(start))
 	out, err := cliutil.Render(tbl, format)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
