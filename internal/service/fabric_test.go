@@ -366,6 +366,49 @@ func TestJournalRestoreFinishedRun(t *testing.T) {
 	}
 }
 
+// TestJournalRestoresExperimentCells: an experiment's cells are journaled
+// like a run's, so after a restart on the same journal the experiment is
+// served from the refilled cache with the same table.
+func TestJournalRestoresExperimentCells(t *testing.T) {
+	const path = "/v1/experiments/headline?insns=2000&bench=gzip"
+	dir := t.TempDir()
+	j, _, _, err := fabric.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Journal: j})
+	code, want := get(t, ts.URL+path)
+	if code != http.StatusOK {
+		t.Fatalf("GET %s: code %d: %s", path, code, want)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, recs, stats, err := fabric.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	s2, ts2 := newTestServer(t, Config{Workers: 1, Journal: j2})
+	if _, err := s2.RecoverJournal(context.Background(), recs, stats); err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if code, got := get(t, ts2.URL+path); code != http.StatusOK || got != want {
+		t.Errorf("after restart: code %d, table\n%s\nwant\n%s", code, got, want)
+	}
+	_, metrics := get(t, ts2.URL+"/metrics")
+	// Headline is 4 configurations on 1 benchmark.
+	for _, want := range []string{
+		`simserved_cells_total{source="simulated"} 0`,
+		`simserved_cells_total{source="cache"} 4`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics after restart missing %q", want)
+		}
+	}
+}
+
 // TestRetryAfterIsJittered: admission rejections carry a Retry-After
 // whose value comes from the shared jittered backoff helper — sane
 // bounds, and not the same constant for every rejected client.
